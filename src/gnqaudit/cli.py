@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train, audit, bound, attack, defend, oracle. Anything
 structural lives in the JSON config; flags cover only paths, seed override,
-thread cap, and the gradient dump toggle, so one config file is the full
-provenance of a run. Every command writes its effective config back to the
+and the gradient dump toggle, so one config file is the full provenance of a
+run; BLAS thread pools follow OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS. Every command writes its effective config back to the
 output directory and exits 0 on success, 2 on config errors, 3 on capacity
 errors, 4 on divergence, 5 on verification failure.
 """
@@ -42,6 +43,7 @@ from .models import ModelSpec, gradient_all
 from .oracle import run_oracle_checks
 from .reports import (
     attack_report,
+    audit_health,
     audit_report,
     canonical_json,
     defense_report,
@@ -315,7 +317,9 @@ def cmd_audit(cfg: RunConfig, args: argparse.Namespace) -> None:
     ranking = rank_examples(record)
     _write_provenance(cfg)
     write_report(
-        cfg.output_dir / "audit_report.json", audit_report(record, cfg.effective(), ranking)
+        cfg.output_dir / "audit_report.json",
+        audit_report(record, cfg.effective(), ranking),
+        meta=audit_health(record),
     )
     write_scores_csv(cfg.output_dir / "scores.csv", record)
     if args.dump_gradients:
@@ -456,12 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output_dir")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="cap numeric worker threads (results are identical at any cap)",
-        )
         if name in ("audit", "attack"):
             p.add_argument(
                 "--trajectory", default=None, help="reuse a trajectory checkpoint"
@@ -481,25 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap(threads: int | None) -> None:
-    if threads is None:
-        return
-    if threads < 1:
-        raise ConfigurationError(f"--threads must be >= 1, got {threads}")
-    try:
-        # BLAS pools are already live by import time; threadpoolctl can still
-        # cap them. Purely a resource knob, never changes results.
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=threads)
-    except ImportError:
-        pass
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_thread_cap(args.threads)
         cfg = _load_run_config(args)
         _HANDLERS[args.command](cfg, args)
     except AuditError as exc:

@@ -2,21 +2,41 @@
 
 The uniqueness score of example j at one iteration is the quadratic form
 
-    gnq_j = g_j^T S^+ g_j,    S = sum_{k != j} g_k g_k^T,
+    gnq_j = g_j^T S_j^+ g_j,    S_j = sum_{k != j} g_k g_k^T,
 
-where S^+ is the Moore-Penrose pseudoinverse with singular values below
-tol * sigma_max treated as zero. The score measures how far g_j sticks out of
-the span and spectrum of everyone else's gradients: it is 0 when g_j is
-indistinguishable from the bulk and grows without bound as g_j approaches a
-direction no other example covers. Each score carries a range_ok flag telling
-whether g_j actually lies in range(S) within tolerance; out-of-range scores
-are reported, never fatal.
+where S_j^+ is the Moore-Penrose pseudoinverse with eigenvalues at or below
+the cutoff tol * lambda_max(S_j) treated as zero. The score measures how far
+g_j sticks out of the span and spectrum of everyone else's gradients: it is 0
+when g_j is indistinguishable from the bulk and grows without bound as g_j
+approaches a direction no other example covers. Each score carries a range_ok
+flag, consistent with the cutoff: ||g_j - P_j g_j||^2 <= tol * lambda_max(S_j),
+P_j the projector onto S_j's kept eigenvectors. The residual energy must be no
+more than the cutoff discards. Out-of-range scores are reported, never fatal.
 
-`gnq_all_exact` scores every example from one eigendecomposition of
-S_total = sum_k g_k g_k^T. With q_j = g_j^T S_total^+ g_j, removing g_j's own
-contribution gives gnq_j = q_j / (1 - q_j); q_j = 1 signals exactly the
-degenerate cases (rank drop or g_j outside the remaining span), which fall
-back to a per-example pseudoinverse.
+`gnq_all_exact` scores every example from one eigendecomposition
+S = V diag(lambda) V^T of S = sum_k g_k g_k^T. With z = V^T g_j and
+q_j = sum over kept i of z_i^2 / lambda_i, the downdate gives
+gnq_j = q_j / (1 - q_j). `downdate_guard` allows it only when it provably
+equals the truncated pseudoinverse of S_j = S - g_j g_j^T:
+
+(i)   the cut is clean: every dropped eigenvalue is at most N_p * eps *
+      lambda_max, the backward error of eigh, so truncating S and
+      downdating it commute;
+(ii)  f(c) >= 0 for the secular function f(mu) = 1 - sum_i z_i^2 /
+      (lambda_i - mu) at the cutoff c = tol * lambda_max. By Haynsworth's
+      inertia additivity, S_j has #{lambda_i < c} + [f(c) < 0] eigenvalues
+      below c, and by Cauchy interlacing only the smallest kept one can
+      cross, so no kept eigenvalue falls below c;
+(iii) no dropped eigenvalue lies in (tol * L_j, c], L_j = max(lambda_max -
+      ||g_j||^2, lambda_{N_p - 1}) <= lambda_max(S_j), because S_j's own
+      cutoff can be lower than S's.
+
+The guard also settles range_ok. Since S_j = S - g_j g_j^T is PSD, g_j's
+residual outside the kept eigenvectors obeys ||resid||^2 <= max dropped
+eigenvalue, which (iii) holds to tol * L_j <= tol * lambda_max(S_j). The
+check ||resid||^2 <= tol * L_j is still made, against rounding in the
+eigenvectors. A row failing a clause or that check falls back to its own
+pseudoinverse, and the score records which reason sent it there.
 
 The module also carries the scalar helpers used by the leakage bound:
 `pdet_rank_one` for pdet(A + q q^T) = pdet(A) (1 + q^T A^+ q) with q in
@@ -34,6 +54,7 @@ import numpy as np
 from .errors import ConfigurationError, InsufficientDataError, ShapeError
 
 DEFAULT_TOL = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 # S is N_p x N_p in exact mode; above this, use a diagonal mode.
 EXACT_MODE_DIM_CAP = 4096
 
@@ -86,6 +107,14 @@ class GramSummary:
         return np.diag(self.total) if self.total.ndim == 2 else self.total
 
 
+class FallbackReason(enum.Enum):
+    """Why a leave-one-out score was recomputed from its own factorization."""
+
+    UNCLEAN_CUT = "unclean_cut"  # clause (i): a dropped eigenvalue above eigh's error
+    CROSSING = "crossing"  # clauses (ii)-(iii): an eigenvalue crosses a cutoff
+    OUT_OF_RANGE = "out_of_range"  # range_ok not provable from S's factorization
+
+
 @dataclass(frozen=True)
 class GnqScore:
     example: int
@@ -93,31 +122,84 @@ class GnqScore:
     value: float
     mode: GramMode
     range_ok: bool
+    fallback: FallbackReason | None = None
 
 
 def _psd_eig(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigendecomposition of symmetric PSD s with a relative cutoff.
 
-    Returns (kept eigenvalues, kept eigenvectors, cutoff). Eigenvalues at or
-    below cutoff = tol * max(eig, 0) count as zero.
+    Returns (kept eigenvalues, kept eigenvectors, lambda_max). Eigenvalues at
+    or below tol * lambda_max count as zero, lambda_max = max(eig, 0).
     """
     w, v = np.linalg.eigh(s)
-    cutoff = tol * max(float(w[-1]), 0.0)
-    keep = w > cutoff
-    return w[keep], v[:, keep], cutoff
+    lam_max = max(float(w[-1]), 0.0)
+    keep = w > tol * lam_max
+    return w[keep], v[:, keep], lam_max
 
 
-def _pinv_quadform(w: np.ndarray, v: np.ndarray, g: np.ndarray) -> float:
+def pinv_quadform(s: np.ndarray, g: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
+    """g^T s^+ g under the relative cutoff, and whether g lies in range(s).
+
+    range_ok is ||g - P g||^2 <= tol * lambda_max(s), P the projector onto the
+    kept eigenvectors; a zero s leaves only g = 0 in range.
+    """
+    w, v, lam_max = _psd_eig(s, tol)
     coeff = v.T @ g
-    return float(np.sum(coeff**2 / w)) if w.size else 0.0
+    value = float(np.sum(coeff**2 / w)) if w.size else 0.0
+    resid = g - v @ coeff
+    return value, float(resid @ resid) <= tol * lam_max
 
 
-def _in_range(v: np.ndarray, g: np.ndarray, tol: float) -> bool:
-    gnorm = float(np.linalg.norm(g))
-    if gnorm == 0.0:
-        return True
-    resid = g - v @ (v.T @ g) if v.size else g
-    return float(np.linalg.norm(resid)) <= tol * gnorm
+def project_rows(
+    w: np.ndarray, v: np.ndarray, rows: np.ndarray, tol: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row g against S = V diag(w) V^T itself, from S's full eigendecomposition.
+
+    Returns (lambda_max, kept-eigenvalue mask, z^2 = (V^T g)^2 per row,
+    q = g^T S^+ g per row, ||g - P g||^2 per row).
+    """
+    lam_max = max(float(w[-1]), 0.0)
+    keep = w > tol * lam_max
+    z2 = (rows @ v) ** 2
+    return lam_max, keep, z2, z2[:, keep] @ (1.0 / w[keep]), z2[:, ~keep].sum(axis=1)
+
+
+def downdate_guard(
+    w: np.ndarray, v: np.ndarray, rows: np.ndarray, tol: float
+) -> tuple[np.ndarray, list[FallbackReason | None]]:
+    """Leave-one-out scores of rows against S = rows^T rows = V diag(w) V^T.
+
+    w and v are the full eigendecomposition of S (ascending). Returns
+    (values, reasons): where reasons[j] is None, values[j] is the downdate,
+    provably equal to the truncated pseudoinverse score against
+    S - g_j g_j^T (see the module docstring for the three clauses), and g_j
+    is in range. Elsewhere values[j] is undefined and the row needs its own
+    factorization.
+    """
+    n = rows.shape[0]
+    lam_max, keep, z2, q, resid_sq = project_rows(w, v, rows, tol)
+    cutoff = tol * lam_max
+    dropped = w[~keep]
+    if dropped.size and float(np.abs(dropped).max()) > w.size * _EPS * lam_max:
+        return np.full(n, np.nan), [FallbackReason.UNCLEAN_CUT] * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = 1.0 - z2 @ (1.0 / (w - cutoff))
+    # Lower bound on lambda_max(S_j) by Weyl's inequality and interlacing.
+    second = float(w[-2]) if w.size > 1 else 0.0
+    lam_max_j = np.maximum(lam_max - np.sum(rows**2, axis=1), second)
+    # q < 1 follows from f(c) >= 0 in exact arithmetic; it keeps q / (1 - q) finite.
+    crossing = ~((f >= 0.0) & (q < 1.0))
+    if dropped.size:
+        crossing |= float(dropped.max()) > tol * lam_max_j
+    # Implied by (iii) in exact arithmetic; kept against rounding.
+    range_ok = resid_sq <= tol * lam_max_j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = q / (1.0 - q)
+    reasons = [
+        FallbackReason.CROSSING if c else None if ok else FallbackReason.OUT_OF_RANGE
+        for c, ok in zip(crossing.tolist(), range_ok.tolist())
+    ]
+    return values, reasons
 
 
 def gnq_exact(grads: GradientSet, j: int, tol: float = DEFAULT_TOL) -> GnqScore:
@@ -132,28 +214,25 @@ def gnq_exact(grads: GradientSet, j: int, tol: float = DEFAULT_TOL) -> GnqScore:
         raise InsufficientDataError("need at least 2 examples for a leave-one-out score")
     if not 0 <= j < grads.n_examples:
         raise ConfigurationError(f"example index {j} out of range")
-    g = grads.vectors[j]
     others = np.delete(grads.vectors, j, axis=0)
-    s = others.T @ others
-    w, v, _ = _psd_eig(s, tol)
-    value = _pinv_quadform(w, v, g)
+    value, range_ok = pinv_quadform(others.T @ others, grads.vectors[j], tol)
     return GnqScore(
         example=j,
         iteration=grads.iteration,
         value=value,
         mode=GramMode.FULL_EXACT,
-        range_ok=_in_range(v, g, tol),
+        range_ok=range_ok,
     )
 
 
 def gnq_all_exact(grads: GradientSet, tol: float = DEFAULT_TOL) -> list[GnqScore]:
-    """Score every example from a single factorization of S_total.
+    """Score every example from a single eigendecomposition of S = G^T G.
 
-    With q_j = g_j^T S_total^+ g_j, the leave-one-out score is
-    q_j / (1 - q_j). In exact arithmetic q_j <= 1, and q_j = 1 exactly when
-    dropping g_j loses rank or g_j lies outside the others' span; any j with
-    |1 - q_j| < tol (or q_j outside [0, 1] by rounding) is recomputed with its
-    own leave-one-out pseudoinverse.
+    Each row takes the downdate q_j / (1 - q_j) when `downdate_guard`'s three
+    clauses prove it equal to the truncated pseudoinverse of S - g_j g_j^T
+    (clean cut, no eigenvalue crossing S's cutoff, none inside the band
+    between S_j's cutoff and S's) and its range test passes. Any other row is
+    recomputed with its own pseudoinverse, and its score names the reason.
     """
     if tol <= 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
@@ -161,49 +240,31 @@ def gnq_all_exact(grads: GradientSet, tol: float = DEFAULT_TOL) -> list[GnqScore
         raise InsufficientDataError("need at least 2 examples for leave-one-out scores")
     g = grads.vectors
     s_total = g.T @ g
-    w, v, _ = _psd_eig(s_total, tol)
-    in_span = v @ (v.T @ g.T)  # (N_p, N) projections onto range(S_total)
-    gnorm = np.linalg.norm(g, axis=1)
-    resid = np.linalg.norm(g.T - in_span, axis=0)
-    range_ok_total = resid <= tol * gnorm
-    if w.size:
-        coeff = v.T @ g.T
-        q = np.sum(coeff**2 / w[:, None], axis=0)
-    else:
-        q = np.zeros(grads.n_examples)
-
-    trace = float(np.sum(gnorm**2))
+    w, v = np.linalg.eigh(s_total)
+    values, reasons = downdate_guard(w, v, g, tol)
+    trace = float(np.trace(s_total))
     scores: list[GnqScore] = []
-    for j in range(grads.n_examples):
-        qj = float(q[j])
-        if qj < 1.0 - tol and range_ok_total[j]:
-            # No rank drop and g_j inside the shared span: the downdate is safe.
-            scores.append(
-                GnqScore(
-                    example=j,
-                    iteration=grads.iteration,
-                    value=max(qj / (1.0 - qj), 0.0),
-                    mode=GramMode.FULL_EXACT,
-                    range_ok=True,
-                )
-            )
-        elif gnorm[j] ** 2 <= 0.9 * trace:
-            # Degenerate downdate: rebuild S by subtracting the rank-one term
-            # (cheap) instead of re-summing; safe while g_j is not so dominant
-            # that the subtraction cancels catastrophically.
-            s = s_total - np.outer(g[j], g[j])
-            wj, vj, _ = _psd_eig(s, tol)
-            scores.append(
-                GnqScore(
-                    example=j,
-                    iteration=grads.iteration,
-                    value=_pinv_quadform(wj, vj, g[j]),
-                    mode=GramMode.FULL_EXACT,
-                    range_ok=_in_range(vj, g[j], tol),
-                )
-            )
+    for j, reason in enumerate(reasons):
+        if reason is None:
+            value, ok = float(values[j]), True
+        elif float(g[j] @ g[j]) <= 0.9 * trace:
+            # Rebuild S_j by subtracting the rank-one term (cheap) instead of
+            # re-summing; safe while g_j is not so dominant that the
+            # subtraction cancels catastrophically.
+            value, ok = pinv_quadform(s_total - np.outer(g[j], g[j]), g[j], tol)
         else:
-            scores.append(gnq_exact(grads, j, tol))
+            exact = gnq_exact(grads, j, tol)
+            value, ok = exact.value, exact.range_ok
+        scores.append(
+            GnqScore(
+                example=j,
+                iteration=grads.iteration,
+                value=value,
+                mode=GramMode.FULL_EXACT,
+                range_ok=ok,
+                fallback=reason,
+            )
+        )
     return scores
 
 

@@ -33,7 +33,14 @@ import numpy as np
 
 from .bounds import per_iteration_leakage, per_iteration_leakage_exact_ratio, prior_entropy
 from .errors import CapacityError, ConfigurationError
-from .geometry import GradientSet, pdet_and_rank, pdet_rank_one
+from .geometry import (
+    FallbackReason,
+    GradientSet,
+    gnq_all_exact,
+    pdet_and_rank,
+    pdet_rank_one,
+    pinv_quadform,
+)
 from .sampling import (
     ENUMERATION_MAX_N,
     SamplingConfig,
@@ -226,12 +233,7 @@ def gaussian_leakage_from_covariances(
     if triple.source is CovarianceSource.CLOSED_FORM:
         gj = triple.g_j
         pdet0, r0 = pdet_and_rank(triple.sigma0, tol)
-        w, v = np.linalg.eigh(triple.sigma0)
-        keep = w > tol * max(float(w[-1]), 0.0)
-        quad = float(((v[:, keep].T @ gj) ** 2 / w[keep]).sum()) if keep.any() else 0.0
-        gnorm = float(np.linalg.norm(gj))
-        resid = gj - v[:, keep] @ (v[:, keep].T @ gj) if keep.any() else gj
-        in_range = gnorm == 0.0 or float(np.linalg.norm(resid)) <= tol * gnorm
+        quad, in_range = pinv_quadform(triple.sigma0, gj, tol)
         if in_range and r0 > 0:
             pdet_sigma = pdet_rank_one(pdet0, triple.c1_sq * quad)
             pdet_sigma1 = pdet_rank_one(pdet0, triple.c2_sq * quad)
@@ -633,6 +635,41 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
             tolerance=float("inf"),
             passed=True,
             note="informational: MI of a zero-gradient example under shared popcount",
+        )
+    )
+
+    # Guarded leave-one-out downdate vs np.linalg.pinv of each S_j, on tiny
+    # random instances (rank deficient when rank < dim) and one instance
+    # where removing row 3 pushes the smallest kept eigenvalue of S under the
+    # cutoff, so the downdate alone would be off by exactly 1.
+    tol = 1e-6
+    instances = []
+    for _ in range(8):
+        dim = int(rng.integers(1, 6))
+        rank = int(rng.integers(1, dim + 1))
+        n = int(rng.integers(3, 9))
+        instances.append(rng.standard_normal((n, rank)) @ rng.standard_normal((rank, dim)))
+    a = np.sqrt(2.4 * tol)
+    crossing = np.array(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.0, a], [0.0, 0.0, a]]
+    )
+    instances.append(crossing)
+    worst = 0.0
+    for vectors in instances:
+        for j, score in enumerate(gnq_all_exact(GradientSet(0, vectors), tol)):
+            others = np.delete(vectors, j, axis=0)
+            s_pinv = np.linalg.pinv(others.T @ others, rcond=tol, hermitian=True)
+            ref = float(vectors[j] @ s_pinv @ vectors[j])
+            worst = max(worst, abs(score.value - ref) / max(1.0, abs(ref)))
+    fell_back = gnq_all_exact(GradientSet(0, crossing), tol)[3].fallback
+    checks.append(
+        FormulaCheck(
+            formula="guarded_downdate_vs_pinv",
+            scheme="any",
+            max_abs_error=worst,
+            tolerance=1e-9,
+            passed=worst <= 1e-9 and fell_back is FallbackReason.CROSSING,
+            note="error relative to max(1, |pinv value|); the crossing row must fall back",
         )
     )
 

@@ -14,6 +14,7 @@ import datetime
 import enum
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -65,17 +66,20 @@ def finalize_report(kind: str, payload: dict, config: dict) -> dict:
     return out
 
 
-def write_report(path: str | Path, payload: dict) -> Path:
-    """Write the report plus a timestamp sidecar (kept out of the report)."""
+def write_report(path: str | Path, payload: dict, meta: dict | None = None) -> Path:
+    """Write the report plus a sidecar with the timestamp and any extra meta.
+
+    Run diagnostics go into the sidecar, so the report bytes stay
+    deterministic.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(canonical_json(payload), encoding="utf-8")
     sidecar = path.with_suffix(path.suffix + ".meta.json")
-    meta = {
-        "report": path.name,
-        "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    side = dict(meta or {})
+    side["report"] = path.name
+    side["written_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    sidecar.write_text(canonical_json(side), encoding="utf-8")
     return path
 
 
@@ -170,6 +174,24 @@ def audit_report(record: AuditRecord, config: dict, ranking: np.ndarray) -> dict
         },
     }
     return finalize_report("audit", payload, config)
+
+
+def audit_health(record: AuditRecord) -> dict:
+    """Numeric health of an exact audit for the report's sidecar.
+
+    Counts the scores recomputed from their own factorization, in total, by
+    reason and by audited iteration.
+    """
+    by_reason: Counter[str] = Counter()
+    for counts in record.fallbacks.values():
+        by_reason.update(counts)
+    return {
+        "fallbacks": {
+            "total": sum(by_reason.values()),
+            "by_reason": dict(by_reason),
+            "by_iteration": {str(it): counts for it, counts in record.fallbacks.items()},
+        }
+    }
 
 
 def _curve_dict(curve: BinnedCurve) -> dict:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -84,7 +85,9 @@ class AuditRecord:
     cumulative_gnq[j] is the sum of example j's recorded score values;
     bounds[j] chains those same recorded iterations into a Fano floor.
     batch_sources maps an audited iteration to the iteration whose realized
-    batch fed a batch-restricted mode.
+    batch fed a batch-restricted mode. fallbacks maps an audited iteration to
+    how many exact scores there were recomputed from their own factorization,
+    by FallbackReason value; iterations without fallbacks are absent.
     """
 
     mode: GramMode
@@ -95,6 +98,7 @@ class AuditRecord:
     bounds: tuple[LeakageBound, ...]
     batch_sources: dict[int, int]
     tol: float
+    fallbacks: dict[int, dict[str, int]] = field(default_factory=dict)
 
     @property
     def n_examples(self) -> int:
@@ -189,7 +193,6 @@ def _score_batch_mode(
             for j in range(n)
         ]
     bg = grads.vectors[members]
-    member_set = set(int(m) for m in members)
     if mode is GramMode.BATCH_DIAGONAL:
         summary = GramSummary(
             mode=mode, total=np.sum(bg**2, axis=0), contributing=tuple(int(m) for m in members)
@@ -199,46 +202,26 @@ def _score_batch_mode(
             for j in range(n)
         ]
     s_batch = bg.T @ bg
-    w, v, _ = geometry._psd_eig(s_batch, tol)
-    g = grads.vectors
-    if w.size:
-        coeff = v.T @ g.T
-        q = np.sum(coeff**2 / w[:, None], axis=0)
-    else:
-        q = np.zeros(n)
+    w, v = np.linalg.eigh(s_batch)
+    values, reasons = geometry.downdate_guard(w, v, bg, tol)
+    # Non-members score against the whole batch Gram directly.
+    lam_max, _, _, q, resid_sq = geometry.project_rows(w, v, grads.vectors, tol)
+    in_range = resid_sq <= tol * lam_max
+    position = {int(m): pos for pos, m in enumerate(members)}
     scores = []
     for j in range(n):
-        gj = g[j]
-        in_range = geometry._in_range(v, gj, tol)
-        qj = float(q[j])
-        if j not in member_set:
-            # Non-members score against the whole batch Gram directly.
-            scores.append(
-                GnqScore(example=j, iteration=it, value=qj, mode=mode, range_ok=in_range)
-            )
-        elif qj < 1.0 - tol and in_range:
-            scores.append(
-                GnqScore(
-                    example=j,
-                    iteration=it,
-                    value=max(qj / (1.0 - qj), 0.0),
-                    mode=mode,
-                    range_ok=True,
-                )
-            )
+        pos = position.get(j)
+        reason = None if pos is None else reasons[pos]
+        if pos is None:
+            value, ok = float(q[j]), bool(in_range[j])
+        elif reason is None:
+            value, ok = float(values[pos]), True
         else:
-            others = bg[members != j]
-            sj = others.T @ others if others.size else np.zeros_like(s_batch)
-            wj, vj, _ = geometry._psd_eig(sj, tol)
-            scores.append(
-                GnqScore(
-                    example=j,
-                    iteration=it,
-                    value=geometry._pinv_quadform(wj, vj, gj),
-                    mode=mode,
-                    range_ok=geometry._in_range(vj, gj, tol),
-                )
-            )
+            others = np.delete(bg, pos, axis=0)
+            value, ok = geometry.pinv_quadform(others.T @ others, grads.vectors[j], tol)
+        scores.append(
+            GnqScore(example=j, iteration=it, value=value, mode=mode, range_ok=ok, fallback=reason)
+        )
     return scores
 
 
@@ -269,6 +252,7 @@ def audit(
     n = traj.cfg.n_total
     scores: dict[tuple[int, int], GnqScore] = {}
     batch_sources: dict[int, int] = {}
+    fallbacks: dict[int, dict[str, int]] = {}
     per_iter_values = np.zeros((len(iters), n))
     for row, i in enumerate(iters):
         grads = GradientSet(
@@ -291,6 +275,9 @@ def audit(
         for s in iteration_scores:
             scores[(i, s.example)] = s
             per_iter_values[row, s.example] = s.value
+        reasons = Counter(s.fallback.value for s in iteration_scores if s.fallback is not None)
+        if reasons:
+            fallbacks[i] = dict(sorted(reasons.items()))
     bounds = tuple(
         make_leakage_bound(
             j,
@@ -308,6 +295,7 @@ def audit(
         bounds=bounds,
         batch_sources=batch_sources,
         tol=tol,
+        fallbacks=fallbacks,
     )
 
 

@@ -116,15 +116,18 @@ def ref_gnq(vectors, j, tol=1e-10):
 
 
 def ref_in_range(vectors, j, tol=1e-10):
+    """||g_j - P g_j||^2 <= tol * lambda_max(S), P = S S^+ with S^+ from pinv.
+
+    The residual energy may be at most what the eigenvalue cutoff discards.
+    """
     vectors = np.asarray(vectors, dtype=float)
     g = vectors[j]
-    if not np.any(g):
-        return True
     others = np.concatenate([vectors[:j], vectors[j + 1 :]], axis=0)
     s = sum(np.outer(v, v) for v in others)
     proj = s @ np.linalg.pinv(s, rcond=tol, hermitian=True)
     resid = g - proj @ g
-    return float(np.linalg.norm(resid)) <= tol * float(np.linalg.norm(g))
+    lam_max = max(float(np.linalg.eigvalsh(s)[-1]), 0.0)
+    return float(resid @ resid) <= tol * lam_max
 
 
 def ref_pdet(a, tol=1e-10):

@@ -156,6 +156,31 @@ def test_audit_reruns_byte_identical_with_timestamps_in_sidecar(tmp_path):
     assert "written_at" in meta or any("time" in k or "at" in k for k in meta)
 
 
+def test_audit_sidecar_counts_fallbacks_by_reason(tmp_path):
+    # 60 examples against 72 parameters: no gradient lies in the others'
+    # span, so no exact score can come from the shared factorization.
+    cfgp = blob_config(
+        tmp_path,
+        class_sizes=(30, 30),
+        extra={
+            "model": {"kind": "mlp", "input_dim": 4, "hidden_dim": 10, "n_classes": 2,
+                      "init": "seeded_gaussian"},
+            "audit": {"mode": "full_exact", "cadence": "final_only"},
+        },
+    )
+    assert main(["audit", "--config", cfgp]) == 0
+    meta = json.loads((tmp_path / "run" / "audit_report.json.meta.json").read_text())
+    fallbacks = meta["fallbacks"]
+    assert fallbacks["total"] == sum(fallbacks["by_reason"].values()) == 60
+    assert fallbacks["by_iteration"] == {"12": fallbacks["by_reason"]}
+    assert meta["report"] == "audit_report.json"
+
+
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit):
+        main(["oracle", "--config", "unused.json", "--threads", "2"])
+
+
 # bound ------------------------------------------------------------------------------
 
 
@@ -213,6 +238,20 @@ def test_defend_sweep_writes_one_row_per_fraction(tmp_path):
     assert len(lines) == 4
     report = json.loads((tmp_path / "ds" / "defense_report.json").read_text())
     assert len(report["sweep"]) == 3
+    jsonschema.validate(report, SCHEMA)
+    del report["sweep"][1]["auc_after"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, SCHEMA)
+
+
+def test_single_run_defense_report_still_needs_every_field(tmp_path):
+    cfgp = blob_config(tmp_path, out="dp", extra={"defense": {"p": 0.05}})
+    assert main(["defend", "--config", cfgp]) == 0
+    report = json.loads((tmp_path / "dp" / "defense_report.json").read_text())
+    jsonschema.validate(report, SCHEMA)
+    del report["bound_after"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, SCHEMA)
 
 
 # oracle -----------------------------------------------------------------------------

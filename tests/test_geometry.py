@@ -17,9 +17,12 @@ from gnqaudit import (
     gnq_diagonal,
     gnq_exact,
     leakage_growth_factor,
+    make_blobs,
     pdet_rank_one,
 )
-from gnqaudit.geometry import full_gram, pdet_and_rank
+from gnqaudit.geometry import FallbackReason, downdate_guard, full_gram, pdet_and_rank
+from gnqaudit.models import ModelSpec, gradient_all, init_params
+from gnqaudit.training import _score_batch_mode
 from oracles import ref_gnq, ref_in_range, ref_pdet
 
 
@@ -167,6 +170,161 @@ def test_downdate_consistency_rank_deficient():
             slow = gnq_exact(gs(g), j)
             assert fast[j].value == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
             assert fast[j].range_ok == slow.range_ok
+
+
+def _mlp_gradients():
+    # Two-class softmax: p_0 + p_1 = 1 makes the two output units' gradients
+    # cancel, leaving an 11-dimensional null space of S (rank 181 of 192)
+    # that only rounding fills.
+    spec = ModelSpec(
+        kind="mlp", input_dim=16, hidden_dim=10, n_classes=2, init="seeded_gaussian", init_scale=0.1
+    )
+    ds = make_blobs([100, 100], 16, center_distance=2.5, spread=1.75, seed=0)
+    return gradient_all(spec, init_params(spec, 0), ds.features, ds.targets)
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_rounding_filled_null_space_takes_no_fallback(monkeypatch):
+    g = _mlp_gradients()
+    w = np.linalg.eigvalsh(g.T @ g)
+    assert int(np.sum(w > 1e-10 * w[-1])) == 181
+    calls = _count_eigh(monkeypatch)
+    scores = gnq_all_exact(gs(g))
+    assert len(calls) == 1
+    assert all(s.fallback is None and s.range_ok for s in scores)
+    for j in range(0, 200, 10):
+        assert scores[j].value == pytest.approx(ref_gnq(g, j), rel=1e-8, abs=1e-10)
+
+
+def test_dropped_eigenvalue_near_cutoff_falls_back_everywhere(monkeypatch):
+    # S has a dropped eigenvalue at 0.97 of the cutoff next to a kept one at
+    # 1.3: removing a row mixes the two, so truncating S and downdating it no
+    # longer commute (the downdate alone is off by up to 10x here), and every
+    # row takes its own factorization.
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.normal(size=(40, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    g = q @ np.diag(np.sqrt([1.0, 0.5, 1.3e-10, 0.97e-10])) @ v.T
+    w = np.linalg.eigvalsh(g.T @ g)
+    assert 0.95 < w[0] / (1e-10 * w[-1]) < 1.0
+    calls = _count_eigh(monkeypatch)
+    scores = gnq_all_exact(gs(g))
+    assert len(calls) == 1 + 40
+    assert {s.fallback for s in scores} == {FallbackReason.UNCLEAN_CUT}
+    for j in range(40):
+        # Kept eigenvalues reach down to the cutoff, so the condition number
+        # is near 1 / tol and both routes carry ~eps * 1e10 relative error.
+        assert scores[j].value == pytest.approx(ref_gnq(g, j), rel=1e-5, abs=1e-10)
+        assert scores[j].range_ok == ref_in_range(g, j)
+
+
+def test_cutoff_crossing_row_falls_back():
+    # S's smallest eigenvalue (along e3) is kept; removing row 3 pushes it
+    # under the cutoff, where the truncated pseudoinverse drops it and the
+    # downdate q / (1 - q) would not. Same pattern as a downdate giving 11.78
+    # against the pseudoinverse's 7.06.
+    tol = 1e-6
+    a = np.sqrt(2.4 * tol)
+    g = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0], [0.5, 0, a], [0, 0, a]])
+    w, v = np.linalg.eigh(g.T @ g)
+    keep = w > tol * w[-1]
+    assert keep.all()
+    z = v.T @ g[3]
+    q = float(np.sum(z**2 / w))
+    naive = q / (1.0 - q)
+    scores = gnq_all_exact(gs(g), tol)
+    want = ref_gnq(g, 3, tol)
+    assert naive == pytest.approx(want + 1.0, rel=1e-6)
+    assert scores[3].fallback is FallbackReason.CROSSING
+    assert scores[4].fallback is FallbackReason.CROSSING
+    for j in range(5):
+        assert scores[j].value == pytest.approx(ref_gnq(g, j, tol), rel=1e-8, abs=1e-10)
+        assert scores[j].range_ok == ref_in_range(g, j, tol)
+
+
+def test_eigenvalue_between_the_two_cutoffs_falls_back():
+    # Row 0 dominates S, so S_0's cutoff (1e-17) sits far below S's (1e-10).
+    # S_0 = diag(1e-7, 2e-15) keeps both directions, but S drops the second
+    # at its rounding level (5e-15 <= N_p * eps * lambda_max), and the
+    # downdate would lose the half of row 0's score that lies along it.
+    g = np.zeros((3, 50))
+    g[0, 0], g[0, 1] = 1.0, np.sqrt(3e-8)
+    g[1, 0] = np.sqrt(1e-7)
+    g[2, 1] = np.sqrt(2e-15)
+    scores = gnq_all_exact(gs(g))
+    assert scores[0].fallback is FallbackReason.CROSSING
+    assert scores[0].value == pytest.approx(1e7 + 1.5e7, rel=1e-8)
+    for j in range(3):
+        assert scores[j].value == pytest.approx(ref_gnq(g, j), rel=1e-8, abs=1e-10)
+        assert scores[j].range_ok == ref_in_range(g, j)
+
+
+def test_residual_beyond_the_dropped_eigenvalues_falls_back():
+    # A factorization whose dropped eigenvalue (0) understates row 1's
+    # residual along it (1e-6), as rounding could: clauses (i)-(iii) pass,
+    # the range check does not.
+    rows = np.array([[1.0, 0.0], [0.0, 1e-3]])
+    v = np.array([[0.0, 1.0], [1.0, 0.0]])  # e2 with eigenvalue 0, e1 with 1
+    _, reasons = downdate_guard(np.array([0.0, 1.0]), v, rows, 1e-10)
+    assert reasons == [FallbackReason.CROSSING, FallbackReason.OUT_OF_RANGE]
+
+
+def test_range_ok_ignores_rounding_level_residual():
+    # A well-fit example: tiny gradient, residual at rounding level. The old
+    # test ||resid|| <= tol * ||g|| flagged it; the cutoff-consistent test
+    # ||resid||^2 <= tol * lambda_max(S) does not.
+    g = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-6, 1e-6, 3e-16]])
+    resid = 3e-16
+    assert resid > 1e-10 * np.linalg.norm(g[2])
+    assert ref_in_range(g, 2)
+    assert gnq_exact(gs(g), 2).range_ok
+    assert gnq_all_exact(gs(g))[2].range_ok
+
+
+@st.composite
+def rank_deficient(draw):
+    # Integer factors keep every product exact, so the null space is exact
+    # and only eigh's rounding fills it.
+    n = draw(st.integers(2, 8))
+    d = draw(st.integers(1, 5))
+    r = draw(st.integers(1, d))
+    a = draw(hnp.arrays(np.int64, (n, r), elements=st.integers(-2, 2)))
+    b = draw(hnp.arrays(np.int64, (r, d), elements=st.integers(-2, 2)))
+    members = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return (a @ b).astype(float), np.flatnonzero(members)
+
+
+@given(case=rank_deficient())
+@settings(max_examples=150, deadline=None)
+def test_every_route_matches_gnq_exact_on_rank_deficient_input(case):
+    g, members = case
+    fast = gnq_all_exact(gs(g))
+    for j in range(g.shape[0]):
+        slow = gnq_exact(gs(g), j)
+        assert fast[j].value == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
+        assert fast[j].range_ok == slow.range_ok
+    if members.size < 2:
+        return
+    batch = _score_batch_mode(gs(g), members, GramMode.BATCH_EXACT, 1e-10)
+    bg = g[members]
+    for j in range(g.shape[0]):
+        if j in members:
+            slow = gnq_exact(gs(bg), int(np.searchsorted(members, j)))
+        else:
+            slow = gnq_exact(gs(np.vstack([bg, g[j]])), members.size)
+        assert batch[j].value == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
+        assert batch[j].range_ok == slow.range_ok
 
 
 # gnq_diagonal ------------------------------------------------------------

@@ -175,6 +175,22 @@ def test_audit_record_carries_mode_and_tolerance():
     assert rec.tol == 1e-9
 
 
+def test_audit_record_tallies_fallbacks_per_iteration():
+    spec = ModelSpec(kind=ModelKind.MLP, input_dim=4, hidden_dim=3, n_classes=2, init="seeded_gaussian")
+    ds = make_blobs([15, 15], input_dim=4, center_distance=2.0, spread=1.0, seed=0)
+    traj = train(cfg_of(30, 20, 5, 8, lr=0.5, seed=1), spec, ds)
+    for mode in (GramMode.FULL_EXACT, GramMode.BATCH_EXACT):
+        rec = audit(traj, ds, mode=mode)
+        tally = {}
+        for (it, _), s in sorted(rec.scores.items()):
+            if s.fallback is not None:
+                counts = tally.setdefault(it, {})
+                counts[s.fallback.value] = counts.get(s.fallback.value, 0) + 1
+        assert rec.fallbacks == tally
+    # Five batch members against 23 parameters: each leaves the others' span.
+    assert rec.fallbacks and all(set(c) == {"crossing"} for c in rec.fallbacks.values())
+
+
 def test_capacity_error_in_exact_mode_suggests_diagonal():
     big = ModelSpec(kind=ModelKind.MLP, input_dim=100, hidden_dim=100, n_classes=50, init="seeded_gaussian")
     ds = make_blobs([2, 2], input_dim=100, center_distance=1.0, spread=1.0, seed=0)
