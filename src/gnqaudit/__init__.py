@@ -53,12 +53,10 @@ from .geometry import (
     GnqScore,
     GradientSet,
     GramMode,
-    GramSummary,
-    gnq_all_exact,
-    gnq_batch,
-    gnq_diagonal,
+    diagonal_scores,
     gnq_exact,
     leakage_growth_factor,
+    loo_scores,
     pdet_rank_one,
 )
 from .models import (

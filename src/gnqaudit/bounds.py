@@ -89,20 +89,24 @@ def prior_entropy(n_train: int, n_total: int) -> float:
     return binary_entropy(n_train / n_total)
 
 
-def per_iteration_leakage(gnq: float, cfg: SamplingConfig) -> float:
+def per_iteration_leakage(gnq: float | np.ndarray, cfg: SamplingConfig) -> float | np.ndarray:
     """Bits leaked about T_j by one iteration's update, from the example's gnq.
 
     Evaluates 1/2 [log2(1 + gnq) - (Nt/N) log2(1 + kappa gnq)] with kappa from
-    `indicator_moments`. Exactly 0 at gnq = 0, and identically 0 when
+    one `indicator_moments` call, elementwise over an array of scores (a float
+    in, a float out). Exactly 0 at gnq = 0, and identically 0 when
     n_train = n_total (membership is certain, nothing to leak).
     """
-    if gnq < 0:
-        raise ConfigurationError(f"gnq must be nonnegative, got {gnq}")
+    g = np.asarray(gnq, dtype=np.float64)
+    if np.any(g < 0):
+        raise ConfigurationError(f"gnq must be nonnegative, got {float(g.min())}")
     if cfg.n_train == cfg.n_total:
-        return 0.0
-    kappa = indicator_moments(cfg).kappa
-    prior = cfg.n_train / cfg.n_total
-    return float(0.5 * (np.log2(1.0 + gnq) - prior * np.log2(1.0 + kappa * gnq)))
+        bits = np.zeros_like(g)
+    else:
+        kappa = indicator_moments(cfg).kappa
+        prior = cfg.n_train / cfg.n_total
+        bits = 0.5 * (np.log2(1.0 + g) - prior * np.log2(1.0 + kappa * g))
+    return float(bits) if bits.ndim == 0 else bits
 
 
 def per_iteration_leakage_exact_ratio(gnq: float, cfg: SamplingConfig, n_params: int) -> float:

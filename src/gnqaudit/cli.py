@@ -281,6 +281,10 @@ def _obtain_trajectory(cfg: RunConfig, args: argparse.Namespace):
             raise ConfigurationError(
                 "trajectory checkpoint was trained under a different sampling config"
             )
+        if cfg.model is not None and traj.model != cfg.model:
+            raise ConfigurationError(
+                "trajectory checkpoint was trained with a different model config"
+            )
         return traj, data
     cfg.require("sampling", "model")
     return train(cfg.sampling, cfg.model, data), data

@@ -25,7 +25,7 @@ from .errors import ConfigurationError
 from .geometry import GramMode
 from .models import ModelSpec, accuracy
 from .sampling import _SPLIT_TAG, SamplingConfig, stream
-from .training import AuditCadence, AuditRecord, TrainingTrajectory, audit, train
+from .training import AuditCadence, AuditRecord, audit, train
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,9 @@ def rank_examples(record: AuditRecord) -> np.ndarray:
 class DefenseRun:
     """One trained-and-attacked configuration inside the defense pipeline."""
 
-    trajectory: TrainingTrajectory
     record: AuditRecord
     attack: AttackResult
     test_accuracy: float
-    pool_ids: np.ndarray  # positions in the original pool, for survivor bookkeeping
 
 
 def split_pool(data: Dataset, cfg: SamplingConfig) -> tuple[Dataset, Dataset]:
@@ -96,7 +94,6 @@ def _run_one(
     model: ModelSpec,
     pool: Dataset,
     test: Dataset,
-    pool_ids: np.ndarray,
     audit_mode: GramMode,
     cadence: AuditCadence,
     tol: float,
@@ -105,71 +102,9 @@ def _run_one(
     record = audit(traj, pool, mode=audit_mode, cadence=cadence, tol=tol)
     attacked = loss_attack(model, traj.final_params, pool.with_membership(traj.train_indicator))
     return DefenseRun(
-        trajectory=traj,
         record=record,
         attack=attacked,
         test_accuracy=accuracy(model, traj.final_params, test.features, test.targets),
-        pool_ids=pool_ids,
-    )
-
-
-def run_defense(
-    cfg: SamplingConfig,
-    model: ModelSpec,
-    data: Dataset,
-    p: float,
-    audit_mode: GramMode = GramMode.FULL_EXACT,
-    cadence: AuditCadence = AuditCadence.EVERY_EPOCH,
-    tol: float = 1e-10,
-) -> DefenseReport:
-    """Full before/after comparison at removal fraction p.
-
-    p = 0 removes nothing and, because the retrain reuses the same base seed
-    (seed_offset 0), reproduces the baseline bit for bit.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ConfigurationError(f"removal fraction must be in [0, 1), got {p}")
-    pool, test = split_pool(data, cfg)
-    baseline = _run_one(
-        cfg, model, pool, test, np.arange(len(pool)), audit_mode, cadence, tol
-    )
-
-    n_pool = len(pool)
-    k = math.ceil(p * n_pool)
-    ranked = rank_examples(baseline.record)
-    removed = ranked[:k]
-    survivors = np.setdiff1d(np.arange(n_pool), removed)
-
-    n_after = n_pool - k
-    n_train_after = int(round(cfg.n_train * n_after / n_pool))
-    if not cfg.batch_size <= n_train_after:
-        raise ConfigurationError(
-            f"removal fraction {p} leaves n_train={n_train_after} below "
-            f"batch_size={cfg.batch_size}"
-        )
-    cfg_after = dc_replace(cfg, n_total=n_after, n_train=n_train_after)
-    filtered = _run_one(
-        cfg_after, model, pool.subset(survivors), test, survivors, audit_mode, cadence, tol
-    )
-
-    pe_before = np.array([b.pe_lower for b in baseline.record.bounds])
-    pe_after = np.array([b.pe_lower for b in filtered.record.bounds])
-    survivor_before = float(pe_before[survivors].mean())
-    survivor_after = float(pe_after.mean())
-    return DefenseReport(
-        removed_fraction=p,
-        removed_ids=tuple(int(i) for i in removed),
-        auc_before=baseline.attack.auc,
-        auc_after=filtered.attack.auc,
-        test_accuracy_before=baseline.test_accuracy,
-        test_accuracy_after=filtered.test_accuracy,
-        bound_before=BoundSummary.from_record(baseline.record),
-        bound_after=BoundSummary.from_record(filtered.record),
-        survivor_pe_mean_before=survivor_before,
-        survivor_pe_mean_after=survivor_after,
-        survivor_bound_improved=survivor_after >= survivor_before,
-        n_train_after=n_train_after,
-        seed_offset=0,
     )
 
 
@@ -182,6 +117,68 @@ def run_defense_sweep(
     cadence: AuditCadence = AuditCadence.EVERY_EPOCH,
     tol: float = 1e-10,
 ) -> list[DefenseReport]:
+    """Before/after comparisons at each removal fraction, in the given order.
+
+    The baseline is trained and audited once and shared by every fraction, so
+    k fractions cost k + 1 train-and-audit runs. p = 0 removes nothing and,
+    because the retrain reuses the same base seed (seed_offset 0), reproduces
+    the baseline bit for bit.
+    """
     if not fractions:
         raise ConfigurationError("sweep needs at least one removal fraction")
-    return [run_defense(cfg, model, data, p, audit_mode, cadence, tol) for p in fractions]
+    for p in fractions:
+        if not 0.0 <= p < 1.0:
+            raise ConfigurationError(f"removal fraction must be in [0, 1), got {p}")
+    pool, test = split_pool(data, cfg)
+    baseline = _run_one(cfg, model, pool, test, audit_mode, cadence, tol)
+    n_pool = len(pool)
+    ranked = rank_examples(baseline.record)
+    pe_before = np.array([b.pe_lower for b in baseline.record.bounds])
+    reports = []
+    for p in fractions:
+        k = math.ceil(p * n_pool)
+        removed = ranked[:k]
+        survivors = np.setdiff1d(np.arange(n_pool), removed)
+        n_train_after = int(round(cfg.n_train * (n_pool - k) / n_pool))
+        if not cfg.batch_size <= n_train_after:
+            raise ConfigurationError(
+                f"removal fraction {p} leaves n_train={n_train_after} below "
+                f"batch_size={cfg.batch_size}"
+            )
+        cfg_after = dc_replace(cfg, n_total=n_pool - k, n_train=n_train_after)
+        filtered = _run_one(
+            cfg_after, model, pool.subset(survivors), test, audit_mode, cadence, tol
+        )
+        survivor_before = float(pe_before[survivors].mean())
+        survivor_after = float(np.mean([b.pe_lower for b in filtered.record.bounds]))
+        reports.append(
+            DefenseReport(
+                removed_fraction=p,
+                removed_ids=tuple(int(i) for i in removed),
+                auc_before=baseline.attack.auc,
+                auc_after=filtered.attack.auc,
+                test_accuracy_before=baseline.test_accuracy,
+                test_accuracy_after=filtered.test_accuracy,
+                bound_before=BoundSummary.from_record(baseline.record),
+                bound_after=BoundSummary.from_record(filtered.record),
+                survivor_pe_mean_before=survivor_before,
+                survivor_pe_mean_after=survivor_after,
+                survivor_bound_improved=survivor_after >= survivor_before,
+                n_train_after=n_train_after,
+                seed_offset=0,
+            )
+        )
+    return reports
+
+
+def run_defense(
+    cfg: SamplingConfig,
+    model: ModelSpec,
+    data: Dataset,
+    p: float,
+    audit_mode: GramMode = GramMode.FULL_EXACT,
+    cadence: AuditCadence = AuditCadence.EVERY_EPOCH,
+    tol: float = 1e-10,
+) -> DefenseReport:
+    """Full before/after comparison at removal fraction p: a one-fraction sweep."""
+    return run_defense_sweep(cfg, model, data, [p], audit_mode, cadence, tol)[0]

@@ -13,11 +13,16 @@ flag, consistent with the cutoff: ||g_j - P_j g_j||^2 <= tol * lambda_max(S_j),
 P_j the projector onto S_j's kept eigenvectors. The residual energy must be no
 more than the cutoff discards. Out-of-range scores are reported, never fatal.
 
-`gnq_all_exact` scores every example from one eigendecomposition
-S = V diag(lambda) V^T of S = sum_k g_k g_k^T. With z = V^T g_j and
-q_j = sum over kept i of z_i^2 / lambda_i, the downdate gives
-gnq_j = q_j / (1 - q_j). `downdate_guard` allows it only when it provably
-equals the truncated pseudoinverse of S_j = S - g_j g_j^T:
+Audits score whole gradient arrays with two functions. `loo_scores` is
+exact: it factors S = sum over member rows g_k g_k^T once, scores each member
+row against S - g_j g_j^T and every other row against S. `diagonal_scores`
+is the cheap surrogate over S's diagonal. `gnq_exact` is the per-example
+reference both are checked against.
+
+With S = V diag(lambda) V^T, z = V^T g_j and q_j = sum over kept i of
+z_i^2 / lambda_i, the downdate gives gnq_j = q_j / (1 - q_j).
+`downdate_guard` allows it only when it provably equals the truncated
+pseudoinverse of S_j = S - g_j g_j^T:
 
 (i)   the cut is clean: every dropped eigenvalue is at most N_p * eps *
       lambda_max, the backward error of eigh, so truncating S and
@@ -35,8 +40,9 @@ The guard also settles range_ok. Since S_j = S - g_j g_j^T is PSD, g_j's
 residual outside the kept eigenvectors obeys ||resid||^2 <= max dropped
 eigenvalue, which (iii) holds to tol * L_j <= tol * lambda_max(S_j). The
 check ||resid||^2 <= tol * L_j is still made, against rounding in the
-eigenvectors. A row failing a clause or that check falls back to its own
-pseudoinverse, and the score records which reason sent it there.
+eigenvectors. A row failing a clause or that check falls back to the
+pseudoinverse of its rebuilt S_j, and the scorer records which reason sent
+it there.
 
 The module also carries the scalar helpers used by the leakage bound:
 `pdet_rank_one` for pdet(A + q q^T) = pdet(A) (1 + q^T A^+ q) with q in
@@ -47,7 +53,7 @@ strictly increasing iff 2 c1^2 > c2^2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,39 +96,28 @@ class GradientSet:
         return self.vectors.shape[1]
 
 
-@dataclass(frozen=True)
-class GramSummary:
-    """The Gram accumulator S in full or diagonal form.
-
-    total is the (N_p, N_p) symmetric matrix for *_EXACT modes and the length
-    N_p diagonal vector for *_DIAGONAL modes. contributing lists the example
-    indices whose gradients were summed.
-    """
-
-    mode: GramMode
-    total: np.ndarray
-    contributing: tuple[int, ...]
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.total) if self.total.ndim == 2 else self.total
-
-
 class FallbackReason(enum.Enum):
-    """Why a leave-one-out score was recomputed from its own factorization."""
+    """Why a leave-one-out score was recomputed from its own factorization.
+
+    Score arrays hold the values, and "" where no recomputation was needed.
+    """
 
     UNCLEAN_CUT = "unclean_cut"  # clause (i): a dropped eigenvalue above eigh's error
     CROSSING = "crossing"  # clauses (ii)-(iii): an eigenvalue crosses a cutoff
     OUT_OF_RANGE = "out_of_range"  # range_ok not provable from S's factorization
 
 
+_REASON_DTYPE = f"U{max(len(r.value) for r in FallbackReason)}"
+
+
 @dataclass(frozen=True)
 class GnqScore:
+    """One example's exact score and range flag, from `gnq_exact`."""
+
     example: int
     iteration: int
     value: float
-    mode: GramMode
     range_ok: bool
-    fallback: FallbackReason | None = None
 
 
 def _psd_eig(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -166,22 +161,24 @@ def project_rows(
 
 def downdate_guard(
     w: np.ndarray, v: np.ndarray, rows: np.ndarray, tol: float
-) -> tuple[np.ndarray, list[FallbackReason | None]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out scores of rows against S = rows^T rows = V diag(w) V^T.
 
     w and v are the full eigendecomposition of S (ascending). Returns
-    (values, reasons): where reasons[j] is None, values[j] is the downdate,
+    (values, reasons): where reasons[j] is "", values[j] is the downdate,
     provably equal to the truncated pseudoinverse score against
     S - g_j g_j^T (see the module docstring for the three clauses), and g_j
-    is in range. Elsewhere values[j] is undefined and the row needs its own
-    factorization.
+    is in range. Elsewhere values[j] is undefined, reasons[j] is a
+    FallbackReason value and the row needs its own factorization.
     """
     n = rows.shape[0]
     lam_max, keep, z2, q, resid_sq = project_rows(w, v, rows, tol)
     cutoff = tol * lam_max
     dropped = w[~keep]
+    reasons = np.full(n, "", dtype=_REASON_DTYPE)
     if dropped.size and float(np.abs(dropped).max()) > w.size * _EPS * lam_max:
-        return np.full(n, np.nan), [FallbackReason.UNCLEAN_CUT] * n
+        reasons[:] = FallbackReason.UNCLEAN_CUT.value
+        return np.full(n, np.nan), reasons
     with np.errstate(divide="ignore", invalid="ignore"):
         f = 1.0 - z2 @ (1.0 / (w - cutoff))
     # Lower bound on lambda_max(S_j) by Weyl's inequality and interlacing.
@@ -195,10 +192,8 @@ def downdate_guard(
     range_ok = resid_sq <= tol * lam_max_j
     with np.errstate(divide="ignore", invalid="ignore"):
         values = q / (1.0 - q)
-    reasons = [
-        FallbackReason.CROSSING if c else None if ok else FallbackReason.OUT_OF_RANGE
-        for c, ok in zip(crossing.tolist(), range_ok.tolist())
-    ]
+    reasons[~range_ok] = FallbackReason.OUT_OF_RANGE.value
+    reasons[crossing] = FallbackReason.CROSSING.value
     return values, reasons
 
 
@@ -220,95 +215,53 @@ def gnq_exact(grads: GradientSet, j: int, tol: float = DEFAULT_TOL) -> GnqScore:
         example=j,
         iteration=grads.iteration,
         value=value,
-        mode=GramMode.FULL_EXACT,
         range_ok=range_ok,
     )
 
 
-def gnq_all_exact(grads: GradientSet, tol: float = DEFAULT_TOL) -> list[GnqScore]:
-    """Score every example from a single eigendecomposition of S = G^T G.
+def loo_scores(
+    vectors: np.ndarray, members: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact scores of every row against S = sum of the member rows' g_k g_k^T.
 
-    Each row takes the downdate q_j / (1 - q_j) when `downdate_guard`'s three
-    clauses prove it equal to the truncated pseudoinverse of S - g_j g_j^T
-    (clean cut, no eigenvalue crossing S's cutoff, none inside the band
-    between S_j's cutoff and S's) and its range test passes. Any other row is
-    recomputed with its own pseudoinverse, and its score names the reason.
+    A member row j is scored against S - g_j g_j^T, every other row against S,
+    all from one eigendecomposition of S. A member row takes the downdate
+    where `downdate_guard` proves it exact; otherwise it is recomputed from
+    the rebuilt sum over the other members, and reasons[j] names the
+    FallbackReason ("" for rows scored from S's factorization). Returns
+    (values, range_ok, reasons), one entry per row of vectors.
     """
     if tol <= 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
-    if grads.n_examples < 2:
-        raise InsufficientDataError("need at least 2 examples for leave-one-out scores")
-    g = grads.vectors
-    s_total = g.T @ g
-    w, v = np.linalg.eigh(s_total)
-    values, reasons = downdate_guard(w, v, g, tol)
-    trace = float(np.trace(s_total))
-    scores: list[GnqScore] = []
-    for j, reason in enumerate(reasons):
-        if reason is None:
-            value, ok = float(values[j]), True
-        elif float(g[j] @ g[j]) <= 0.9 * trace:
-            # Rebuild S_j by subtracting the rank-one term (cheap) instead of
-            # re-summing; safe while g_j is not so dominant that the
-            # subtraction cancels catastrophically.
-            value, ok = pinv_quadform(s_total - np.outer(g[j], g[j]), g[j], tol)
-        else:
-            exact = gnq_exact(grads, j, tol)
-            value, ok = exact.value, exact.range_ok
-        scores.append(
-            GnqScore(
-                example=j,
-                iteration=grads.iteration,
-                value=value,
-                mode=GramMode.FULL_EXACT,
-                range_ok=ok,
-                fallback=reason,
-            )
-        )
-    return scores
+    basis = vectors[members]
+    w, v = np.linalg.eigh(basis.T @ basis)
+    lam_max, _, _, values, resid_sq = project_rows(w, v, vectors, tol)
+    range_ok = resid_sq <= tol * lam_max
+    member_values, member_reasons = downdate_guard(w, v, basis, tol)
+    values[members] = member_values
+    range_ok[members] = True
+    reasons = np.full(vectors.shape[0], "", dtype=member_reasons.dtype)
+    reasons[members] = member_reasons
+    for pos in np.flatnonzero(member_reasons != ""):
+        others = np.delete(basis, pos, axis=0)
+        j = members[pos]
+        values[j], range_ok[j] = pinv_quadform(others.T @ others, vectors[j], tol)
+    return values, range_ok, reasons
 
 
-def gnq_diagonal(
-    summary: GramSummary,
-    g_j: np.ndarray,
-    *,
-    example: int = -1,
-    iteration: int = -1,
-) -> GnqScore:
-    """Diagonal surrogate: sum_p g_jp^2 / G_p over the Gram diagonal G.
+def diagonal_scores(vectors: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal surrogate sum_p g_jp^2 / G_p of every row, G the member rows' Gram diagonal.
 
-    Coordinates where G_p = 0 contribute 0; if such a coordinate has
-    g_jp != 0 the score is flagged range_ok False (the diagonal cannot see
-    that direction). Whether G includes example j's own contribution is the
-    caller's choice; the audit pipeline includes it, matching the ranking
-    algorithm's approximate mode.
+    A member row's own contribution stays in G, matching the ranking
+    algorithm's approximate mode. Coordinates where G_p = 0 contribute 0; a
+    row with g_jp != 0 on such a coordinate is out of range (the diagonal
+    cannot see that direction). Returns (values, range_ok).
     """
-    diag = summary.diagonal()
-    g_j = np.asarray(g_j, dtype=np.float64)
-    if g_j.shape != diag.shape:
-        raise ShapeError(f"gradient shape {g_j.shape} does not match diagonal {diag.shape}")
+    diag = np.sum(vectors[members] ** 2, axis=0)
     zero = diag == 0.0
-    range_ok = bool(np.all(g_j[zero] == 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(zero, 0.0, g_j**2 / np.where(zero, 1.0, diag))
-    mode = summary.mode if summary.mode in (GramMode.DIAGONAL, GramMode.BATCH_DIAGONAL) else GramMode.DIAGONAL
-    return GnqScore(
-        example=example,
-        iteration=iteration,
-        value=float(terms.sum()),
-        mode=mode,
-        range_ok=range_ok,
-    )
-
-
-def gnq_batch(batch_grads: GradientSet, j: int, tol: float = DEFAULT_TOL) -> GnqScore:
-    """Exact score of batch member j against the other batch members only."""
-    if batch_grads.n_examples < 2:
-        raise InsufficientDataError(
-            f"batch mode needs at least 2 batch members, got {batch_grads.n_examples}"
-        )
-    score = gnq_exact(batch_grads, j, tol)
-    return replace(score, mode=GramMode.BATCH_EXACT)
+    range_ok = ~np.any(zero & (vectors != 0.0), axis=1)
+    terms = np.where(zero, 0.0, vectors**2 / np.where(zero, 1.0, diag))
+    return terms.sum(axis=1), range_ok
 
 
 def pdet_rank_one(pdet_a: float, a_pinv_quadform: float) -> float:
@@ -339,13 +292,3 @@ def leakage_growth_factor(x: float, c1_sq: float, c2_sq: float) -> float:
     if c1_sq <= 0 or c2_sq <= 0:
         raise ConfigurationError("c1_sq and c2_sq must be positive")
     return (1.0 + c1_sq * x) / np.sqrt(1.0 + c2_sq * x)
-
-
-def full_gram(vectors: np.ndarray, contributing: tuple[int, ...], mode: GramMode) -> GramSummary:
-    """Gram summary over the given rows, full matrix or diagonal per mode."""
-    v = np.asarray(vectors, dtype=np.float64)
-    if mode in (GramMode.FULL_EXACT, GramMode.BATCH_EXACT):
-        total = v.T @ v
-    else:
-        total = np.sum(v**2, axis=0)
-    return GramSummary(mode=mode, total=total, contributing=tuple(contributing))

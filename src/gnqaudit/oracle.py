@@ -36,7 +36,7 @@ from .errors import CapacityError, ConfigurationError
 from .geometry import (
     FallbackReason,
     GradientSet,
-    gnq_all_exact,
+    loo_scores,
     pdet_and_rank,
     pdet_rank_one,
     pinv_quadform,
@@ -656,19 +656,20 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
     instances.append(crossing)
     worst = 0.0
     for vectors in instances:
-        for j, score in enumerate(gnq_all_exact(GradientSet(0, vectors), tol)):
+        values, _, reasons = loo_scores(vectors, np.arange(len(vectors)), tol)
+        for j, value in enumerate(values):
             others = np.delete(vectors, j, axis=0)
             s_pinv = np.linalg.pinv(others.T @ others, rcond=tol, hermitian=True)
             ref = float(vectors[j] @ s_pinv @ vectors[j])
-            worst = max(worst, abs(score.value - ref) / max(1.0, abs(ref)))
-    fell_back = gnq_all_exact(GradientSet(0, crossing), tol)[3].fallback
+            worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
+    fell_back = reasons[3]
     checks.append(
         FormulaCheck(
             formula="guarded_downdate_vs_pinv",
             scheme="any",
             max_abs_error=worst,
             tolerance=1e-9,
-            passed=worst <= 1e-9 and fell_back is FallbackReason.CROSSING,
+            passed=worst <= 1e-9 and fell_back == FallbackReason.CROSSING.value,
             note="error relative to max(1, |pinv value|); the crossing row must fall back",
         )
     )

@@ -94,9 +94,13 @@ def _write_rows(path: str | Path, header: list[str], rows) -> Path:
 
 
 def write_scores_csv(path: str | Path, record: AuditRecord) -> Path:
+    mode = record.mode.value
     rows = [
-        (it, ex, score.mode.value, repr(float(score.value)), int(score.range_ok))
-        for (it, ex), score in sorted(record.scores.items())
+        (it, ex, mode, repr(value), int(ok))
+        for it, values, flags in zip(
+            record.audited_iterations, record.values.tolist(), record.range_ok.tolist()
+        )
+        for ex, (value, ok) in enumerate(zip(values, flags))
     ]
     return _write_rows(path, ["iteration", "example_id", "mode", "gnq", "range_ok"], rows)
 
@@ -158,9 +162,7 @@ def audit_report(record: AuditRecord, config: dict, ranking: np.ndarray) -> dict
         entry["cumulative_gnq"] = float(record.cumulative_gnq[bound.example])
         entry["total_bits_excluding_first"] = float(sum(bound.per_iteration_bits[1:]))
         per_example.append(entry)
-    range_violations = sorted(
-        {ex for (_, ex), score in record.scores.items() if not score.range_ok}
-    )
+    range_violations = np.flatnonzero(~record.range_ok.all(axis=0))
     payload = {
         "mode": record.mode.value,
         "cadence": record.cadence.value,

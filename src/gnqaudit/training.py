@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -33,7 +32,7 @@ from . import geometry
 from .bounds import LeakageBound, make_leakage_bound, per_iteration_leakage
 from .data import Dataset
 from .errors import CapacityError, ConfigurationError, DivergenceError, ShapeError
-from .geometry import GnqScore, GradientSet, GramMode, GramSummary, gnq_all_exact, gnq_diagonal
+from .geometry import GradientSet, GramMode, diagonal_scores, loo_scores
 from .models import ModelSpec, gradient_all, init_params
 from .sampling import IndicatorDraw, SamplingConfig, draw_indicators
 
@@ -81,9 +80,9 @@ class TrainingTrajectory:
 class AuditRecord:
     """Per-iteration uniqueness scores plus derived leakage bounds.
 
-    scores maps (iteration, example) to the GnqScore recorded there;
-    cumulative_gnq[j] is the sum of example j's recorded score values;
-    bounds[j] chains those same recorded iterations into a Fano floor.
+    values[r, j] and range_ok[r, j] are example j's score and range flag at
+    audited_iterations[r]; cumulative_gnq[j] is the sum of column j of
+    values; bounds[j] chains those same iterations into a Fano floor.
     batch_sources maps an audited iteration to the iteration whose realized
     batch fed a batch-restricted mode. fallbacks maps an audited iteration to
     how many exact scores there were recomputed from their own factorization,
@@ -93,7 +92,8 @@ class AuditRecord:
     mode: GramMode
     cadence: AuditCadence
     audited_iterations: tuple[int, ...]
-    scores: dict[tuple[int, int], GnqScore]
+    values: np.ndarray
+    range_ok: np.ndarray
     cumulative_gnq: np.ndarray
     bounds: tuple[LeakageBound, ...]
     batch_sources: dict[int, int]
@@ -106,7 +106,11 @@ class AuditRecord:
 
     @property
     def range_violations(self) -> tuple[tuple[int, int], ...]:
-        return tuple(key for key, s in sorted(self.scores.items()) if not s.range_ok)
+        """(iteration, example) pairs flagged out of range, in ascending order."""
+        return tuple(
+            (self.audited_iterations[row], example)
+            for row, example in np.argwhere(~self.range_ok).tolist()
+        )
 
 
 def train(
@@ -177,54 +181,6 @@ def audited_iterations(cfg: SamplingConfig, cadence: AuditCadence) -> tuple[int,
     return tuple(marks)
 
 
-def _score_batch_mode(
-    grads: GradientSet,
-    members: np.ndarray,
-    mode: GramMode,
-    tol: float,
-) -> list[GnqScore]:
-    """Score every example against a Gram built from one realized batch."""
-    n = grads.n_examples
-    it = grads.iteration
-    if members.size == 0:
-        # Degenerate empty batch: nothing spans anything; flag, don't fail.
-        return [
-            GnqScore(example=j, iteration=it, value=0.0, mode=mode, range_ok=False)
-            for j in range(n)
-        ]
-    bg = grads.vectors[members]
-    if mode is GramMode.BATCH_DIAGONAL:
-        summary = GramSummary(
-            mode=mode, total=np.sum(bg**2, axis=0), contributing=tuple(int(m) for m in members)
-        )
-        return [
-            gnq_diagonal(summary, grads.vectors[j], example=j, iteration=it)
-            for j in range(n)
-        ]
-    s_batch = bg.T @ bg
-    w, v = np.linalg.eigh(s_batch)
-    values, reasons = geometry.downdate_guard(w, v, bg, tol)
-    # Non-members score against the whole batch Gram directly.
-    lam_max, _, _, q, resid_sq = geometry.project_rows(w, v, grads.vectors, tol)
-    in_range = resid_sq <= tol * lam_max
-    position = {int(m): pos for pos, m in enumerate(members)}
-    scores = []
-    for j in range(n):
-        pos = position.get(j)
-        reason = None if pos is None else reasons[pos]
-        if pos is None:
-            value, ok = float(q[j]), bool(in_range[j])
-        elif reason is None:
-            value, ok = float(values[pos]), True
-        else:
-            others = np.delete(bg, pos, axis=0)
-            value, ok = geometry.pinv_quadform(others.T @ others, grads.vectors[j], tol)
-        scores.append(
-            GnqScore(example=j, iteration=it, value=value, mode=mode, range_ok=ok, fallback=reason)
-        )
-    return scores
-
-
 def audit(
     traj: TrainingTrajectory,
     data: Dataset,
@@ -234,9 +190,11 @@ def audit(
 ) -> AuditRecord:
     """Recompute gradients along the trajectory and score every example.
 
-    Batch-restricted modes use the batch realized at the audited iteration;
-    the final state, where no batch was drawn, reuses the last executed
-    iteration's batch (recorded in batch_sources).
+    Exact modes score with `loo_scores`, diagonal modes with
+    `diagonal_scores`. The basis rows are the whole pool for FULL_EXACT and
+    DIAGONAL. Batch-restricted modes use the batch realized at the audited
+    iteration; the final state, where no batch was drawn, reuses the last
+    executed iteration's batch (recorded in batch_sources).
     """
     if len(data) != traj.cfg.n_total:
         raise ConfigurationError(
@@ -250,49 +208,41 @@ def audit(
         )
     iters = audited_iterations(traj.cfg, cadence)
     n = traj.cfg.n_total
-    scores: dict[tuple[int, int], GnqScore] = {}
+    values = np.zeros((len(iters), n))
+    range_ok = np.zeros((len(iters), n), dtype=bool)
     batch_sources: dict[int, int] = {}
     fallbacks: dict[int, dict[str, int]] = {}
-    per_iter_values = np.zeros((len(iters), n))
+    batched = mode in (GramMode.BATCH_EXACT, GramMode.BATCH_DIAGONAL)
     for row, i in enumerate(iters):
+        # GradientSet rejects non-finite gradients from a corrupt checkpoint.
         grads = GradientSet(
             iteration=i,
             vectors=gradient_all(traj.model, traj.params_per_iter[i], data.features, data.targets),
-        )
-        if mode is GramMode.FULL_EXACT:
-            iteration_scores = gnq_all_exact(grads, tol)
-        elif mode is GramMode.DIAGONAL:
-            summary = geometry.full_gram(grads.vectors, tuple(range(n)), GramMode.DIAGONAL)
-            iteration_scores = [
-                gnq_diagonal(summary, grads.vectors[j], example=j, iteration=i)
-                for j in range(n)
-            ]
+        ).vectors
+        members = np.arange(n)
+        if batched:
+            batch_sources[i] = min(i, traj.cfg.n_iters - 1)
+            members = traj.batch_log[batch_sources[i]].batch_indices
+            if members.size == 0:
+                # Degenerate empty batch: nothing spans anything; flag, don't fail.
+                continue
+        if exact:
+            values[row], range_ok[row], reasons = loo_scores(grads, members, tol)
+            names, counts = np.unique(reasons[reasons != ""], return_counts=True)
+            if names.size:
+                fallbacks[i] = dict(zip(names.tolist(), counts.tolist()))
         else:
-            source = min(i, traj.cfg.n_iters - 1)
-            batch_sources[i] = source
-            members = traj.batch_log[source].batch_indices
-            iteration_scores = _score_batch_mode(grads, members, mode, tol)
-        for s in iteration_scores:
-            scores[(i, s.example)] = s
-            per_iter_values[row, s.example] = s.value
-        reasons = Counter(s.fallback.value for s in iteration_scores if s.fallback is not None)
-        if reasons:
-            fallbacks[i] = dict(sorted(reasons.items()))
-    bounds = tuple(
-        make_leakage_bound(
-            j,
-            [per_iteration_leakage(float(v), traj.cfg) for v in per_iter_values[:, j]],
-            traj.cfg,
-        )
-        for j in range(n)
-    )
+            values[row], range_ok[row] = diagonal_scores(grads, members)
+    # Each example's bits as its own contiguous row, summed like a 1-d list.
+    bits = np.ascontiguousarray(per_iteration_leakage(values, traj.cfg).T)
     return AuditRecord(
         mode=mode,
         cadence=cadence,
         audited_iterations=iters,
-        scores=scores,
-        cumulative_gnq=per_iter_values.sum(axis=0),
-        bounds=bounds,
+        values=values,
+        range_ok=range_ok,
+        cumulative_gnq=values.sum(axis=0),
+        bounds=tuple(make_leakage_bound(j, bits[j], traj.cfg) for j in range(n)),
         batch_sources=batch_sources,
         tol=tol,
         fallbacks=fallbacks,

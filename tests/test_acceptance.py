@@ -28,9 +28,10 @@ from gnqaudit.cli import main
 from gnqaudit.data import make_blobs, make_outlier_regression_dataset
 from gnqaudit.defense import run_defense, split_pool
 from gnqaudit.geometry import (
+    DEFAULT_TOL,
     GradientSet,
     GramMode,
-    gnq_all_exact,
+    loo_scores,
     pdet_and_rank,
     pdet_rank_one,
 )
@@ -251,7 +252,7 @@ def test_criterion_07_outlier_max_gnq():
 
     spec = ModelSpec("linear2d")
     grads = gradient_all(spec, params, ds.features, ds.targets)
-    values = np.array([s.value for s in gnq_all_exact(GradientSet(0, grads))])
+    values, _, _ = loo_scores(grads, np.arange(len(grads)), DEFAULT_TOL)
     assert int(np.argmax(values)) == 6
     assert values[6] > values[:6].max()  # strict, ordinal only
 

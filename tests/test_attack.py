@@ -28,7 +28,8 @@ def fake_record(gnq):
         mode=GramMode.FULL_EXACT,
         cadence=AuditCadence.FINAL_ONLY,
         audited_iterations=(1,),
-        scores={},
+        values=gnq[None, :],
+        range_ok=np.ones((1, gnq.size), dtype=bool),
         cumulative_gnq=gnq,
         bounds=(),
         batch_sources={},

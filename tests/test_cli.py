@@ -365,3 +365,13 @@ def test_checkpoint_config_mismatch_exits_2(tmp_path, capsys):
     traj = str(tmp_path / "run" / "trajectory.json")
     assert main(["audit", "--config", other, "--trajectory", traj]) == 2
     assert "different sampling config" in capsys.readouterr().err
+    # Same sampling, different model: a logistic checkpoint under an MLP config.
+    logistic = blob_config(tmp_path, out="blob", class_sizes=(30, 30))
+    assert main(["train", "--config", logistic]) == 0
+    mlp = json.loads(Path(logistic).read_text())
+    mlp["model"] = {"kind": "mlp", "input_dim": 4, "hidden_dim": 3, "n_classes": 2}
+    mlp_cfg = write_config(tmp_path, mlp, name="mlp.json")
+    blob_traj = str(tmp_path / "blob" / "trajectory.json")
+    for command in ("audit", "attack"):
+        assert main([command, "--config", mlp_cfg, "--trajectory", blob_traj]) == 2
+        assert "different model config" in capsys.readouterr().err

@@ -32,7 +32,8 @@ def fake_record(gnq):
         mode=GramMode.FULL_EXACT,
         cadence=AuditCadence.FINAL_ONLY,
         audited_iterations=(1,),
-        scores={},
+        values=np.asarray([gnq], dtype=np.float64),
+        range_ok=np.ones((1, len(gnq)), dtype=bool),
         cumulative_gnq=np.asarray(gnq, dtype=np.float64),
         bounds=(),
         batch_sources={},
@@ -166,6 +167,20 @@ def test_sweep_runs_each_fraction():
     assert [r.removed_fraction for r in reps] == [0.0, 0.10]
     single = run_defense(cfg, SPEC, ds, 0.10)
     assert reports_equal(reps[1], single)
+
+
+def test_sweep_trains_and_audits_the_baseline_once(monkeypatch):
+    pool_sizes = []
+
+    def counting_train(cfg, *args):
+        pool_sizes.append(cfg.n_total)
+        return train(cfg, *args)
+
+    monkeypatch.setattr("gnqaudit.defense.train", counting_train)
+    cfg, ds = small_setup()
+    run_defense_sweep(cfg, SPEC, ds, [0.01, 0.05, 0.10])
+    # The 60-row baseline once, then one retrain per fraction: 4 runs, not 6.
+    assert pool_sizes == [60, 59, 57, 54]
 
 
 def test_sweep_rejects_empty():

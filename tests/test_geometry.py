@@ -1,4 +1,4 @@
-"""Uniqueness scores: exact, downdated, diagonal, batch; pdet machinery."""
+"""Uniqueness scores: the gnq_exact reference, loo_scores, diagonal_scores; pdet machinery."""
 
 import numpy as np
 import pytest
@@ -10,24 +10,31 @@ from scipy import stats
 from gnqaudit import (
     ConfigurationError,
     GradientSet,
-    GramMode,
     InsufficientDataError,
-    gnq_all_exact,
-    gnq_batch,
-    gnq_diagonal,
+    diagonal_scores,
     gnq_exact,
     leakage_growth_factor,
+    loo_scores,
     make_blobs,
     pdet_rank_one,
 )
-from gnqaudit.geometry import FallbackReason, downdate_guard, full_gram, pdet_and_rank
+from gnqaudit.geometry import FallbackReason, downdate_guard, pdet_and_rank
 from gnqaudit.models import ModelSpec, gradient_all, init_params
-from gnqaudit.training import _score_batch_mode
 from oracles import ref_gnq, ref_in_range, ref_pdet
+
+UNCLEAN_CUT = FallbackReason.UNCLEAN_CUT.value
+CROSSING = FallbackReason.CROSSING.value
+OUT_OF_RANGE = FallbackReason.OUT_OF_RANGE.value
 
 
 def gs(rows, iteration=0):
     return GradientSet(iteration=iteration, vectors=np.asarray(rows, dtype=float))
+
+
+def loo(rows, tol=1e-10, members=None):
+    """loo_scores with every row a member unless members says otherwise."""
+    g = np.asarray(rows, dtype=float)
+    return loo_scores(g, np.arange(len(g)) if members is None else np.asarray(members), tol)
 
 
 # gnq_exact --------------------------------------------------------------------
@@ -132,31 +139,30 @@ def test_duplicate_group_value():
         assert score.value == pytest.approx(1.0 / (k - 1), rel=1e-10)
 
 
-# gnq_all_exact ------------------------------------------------------------
+# loo_scores ---------------------------------------------------------------
 
 
 def test_all_orthogonal_out_of_span():
-    scores = gnq_all_exact(gs(np.eye(3)))
-    for s in scores:
-        assert s.value == 0.0
-        assert not s.range_ok
+    values, range_ok, _ = loo(np.eye(3))
+    assert np.all(values == 0.0)
+    assert not range_ok.any()
 
 
 def test_downdate_simple_value():
-    scores = gnq_all_exact(gs([(1, 0), (0, 1), (1, 1)]))
-    assert scores[2].value == pytest.approx(2.0, rel=1e-10)
-    assert scores[2].range_ok
+    values, range_ok, _ = loo([(1, 0), (0, 1), (1, 1)])
+    assert values[2] == pytest.approx(2.0, rel=1e-10)
+    assert range_ok[2]
 
 
 def test_downdate_consistency_random():
     rng = np.random.default_rng(11)
     for _ in range(25):
         g = rng.normal(size=(8, 5))
-        fast = gnq_all_exact(gs(g))
+        values, range_ok, _ = loo(g)
         for j in range(8):
             slow = gnq_exact(gs(g), j)
-            assert fast[j].value == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
-            assert fast[j].range_ok == slow.range_ok
+            assert values[j] == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
+            assert range_ok[j] == slow.range_ok
 
 
 def test_downdate_consistency_rank_deficient():
@@ -165,11 +171,11 @@ def test_downdate_consistency_rank_deficient():
     rng = np.random.default_rng(13)
     for _ in range(10):
         g = rng.normal(size=(5, 9))
-        fast = gnq_all_exact(gs(g))
+        values, range_ok, _ = loo(g)
         for j in range(5):
             slow = gnq_exact(gs(g), j)
-            assert fast[j].value == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
-            assert fast[j].range_ok == slow.range_ok
+            assert values[j] == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
+            assert range_ok[j] == slow.range_ok
 
 
 def _mlp_gradients():
@@ -200,11 +206,11 @@ def test_rounding_filled_null_space_takes_no_fallback(monkeypatch):
     w = np.linalg.eigvalsh(g.T @ g)
     assert int(np.sum(w > 1e-10 * w[-1])) == 181
     calls = _count_eigh(monkeypatch)
-    scores = gnq_all_exact(gs(g))
+    values, range_ok, reasons = loo(g)
     assert len(calls) == 1
-    assert all(s.fallback is None and s.range_ok for s in scores)
+    assert np.all(reasons == "") and range_ok.all()
     for j in range(0, 200, 10):
-        assert scores[j].value == pytest.approx(ref_gnq(g, j), rel=1e-8, abs=1e-10)
+        assert values[j] == pytest.approx(ref_gnq(g, j), rel=1e-8, abs=1e-10)
 
 
 def test_dropped_eigenvalue_near_cutoff_falls_back_everywhere(monkeypatch):
@@ -219,14 +225,14 @@ def test_dropped_eigenvalue_near_cutoff_falls_back_everywhere(monkeypatch):
     w = np.linalg.eigvalsh(g.T @ g)
     assert 0.95 < w[0] / (1e-10 * w[-1]) < 1.0
     calls = _count_eigh(monkeypatch)
-    scores = gnq_all_exact(gs(g))
+    values, range_ok, reasons = loo(g)
     assert len(calls) == 1 + 40
-    assert {s.fallback for s in scores} == {FallbackReason.UNCLEAN_CUT}
+    assert set(reasons.tolist()) == {UNCLEAN_CUT}
     for j in range(40):
         # Kept eigenvalues reach down to the cutoff, so the condition number
         # is near 1 / tol and both routes carry ~eps * 1e10 relative error.
-        assert scores[j].value == pytest.approx(ref_gnq(g, j), rel=1e-5, abs=1e-10)
-        assert scores[j].range_ok == ref_in_range(g, j)
+        assert values[j] == pytest.approx(ref_gnq(g, j), rel=1e-5, abs=1e-10)
+        assert range_ok[j] == ref_in_range(g, j)
 
 
 def test_cutoff_crossing_row_falls_back():
@@ -243,14 +249,14 @@ def test_cutoff_crossing_row_falls_back():
     z = v.T @ g[3]
     q = float(np.sum(z**2 / w))
     naive = q / (1.0 - q)
-    scores = gnq_all_exact(gs(g), tol)
+    values, range_ok, reasons = loo(g, tol)
     want = ref_gnq(g, 3, tol)
     assert naive == pytest.approx(want + 1.0, rel=1e-6)
-    assert scores[3].fallback is FallbackReason.CROSSING
-    assert scores[4].fallback is FallbackReason.CROSSING
+    assert reasons[3] == CROSSING
+    assert reasons[4] == CROSSING
     for j in range(5):
-        assert scores[j].value == pytest.approx(ref_gnq(g, j, tol), rel=1e-8, abs=1e-10)
-        assert scores[j].range_ok == ref_in_range(g, j, tol)
+        assert values[j] == pytest.approx(ref_gnq(g, j, tol), rel=1e-8, abs=1e-10)
+        assert range_ok[j] == ref_in_range(g, j, tol)
 
 
 def test_eigenvalue_between_the_two_cutoffs_falls_back():
@@ -262,12 +268,12 @@ def test_eigenvalue_between_the_two_cutoffs_falls_back():
     g[0, 0], g[0, 1] = 1.0, np.sqrt(3e-8)
     g[1, 0] = np.sqrt(1e-7)
     g[2, 1] = np.sqrt(2e-15)
-    scores = gnq_all_exact(gs(g))
-    assert scores[0].fallback is FallbackReason.CROSSING
-    assert scores[0].value == pytest.approx(1e7 + 1.5e7, rel=1e-8)
+    values, range_ok, reasons = loo(g)
+    assert reasons[0] == CROSSING
+    assert values[0] == pytest.approx(1e7 + 1.5e7, rel=1e-8)
     for j in range(3):
-        assert scores[j].value == pytest.approx(ref_gnq(g, j), rel=1e-8, abs=1e-10)
-        assert scores[j].range_ok == ref_in_range(g, j)
+        assert values[j] == pytest.approx(ref_gnq(g, j), rel=1e-8, abs=1e-10)
+        assert range_ok[j] == ref_in_range(g, j)
 
 
 def test_residual_beyond_the_dropped_eigenvalues_falls_back():
@@ -277,7 +283,7 @@ def test_residual_beyond_the_dropped_eigenvalues_falls_back():
     rows = np.array([[1.0, 0.0], [0.0, 1e-3]])
     v = np.array([[0.0, 1.0], [1.0, 0.0]])  # e2 with eigenvalue 0, e1 with 1
     _, reasons = downdate_guard(np.array([0.0, 1.0]), v, rows, 1e-10)
-    assert reasons == [FallbackReason.CROSSING, FallbackReason.OUT_OF_RANGE]
+    assert reasons.tolist() == [CROSSING, OUT_OF_RANGE]
 
 
 def test_range_ok_ignores_rounding_level_residual():
@@ -289,7 +295,7 @@ def test_range_ok_ignores_rounding_level_residual():
     assert resid > 1e-10 * np.linalg.norm(g[2])
     assert ref_in_range(g, 2)
     assert gnq_exact(gs(g), 2).range_ok
-    assert gnq_all_exact(gs(g))[2].range_ok
+    assert loo(g)[1][2]
 
 
 @st.composite
@@ -309,88 +315,81 @@ def rank_deficient(draw):
 @settings(max_examples=150, deadline=None)
 def test_every_route_matches_gnq_exact_on_rank_deficient_input(case):
     g, members = case
-    fast = gnq_all_exact(gs(g))
+    values, range_ok, _ = loo(g)
     for j in range(g.shape[0]):
         slow = gnq_exact(gs(g), j)
-        assert fast[j].value == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
-        assert fast[j].range_ok == slow.range_ok
+        assert values[j] == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
+        assert range_ok[j] == slow.range_ok
     if members.size < 2:
         return
-    batch = _score_batch_mode(gs(g), members, GramMode.BATCH_EXACT, 1e-10)
+    values, range_ok, _ = loo(g, members=members)
     bg = g[members]
     for j in range(g.shape[0]):
         if j in members:
             slow = gnq_exact(gs(bg), int(np.searchsorted(members, j)))
         else:
             slow = gnq_exact(gs(np.vstack([bg, g[j]])), members.size)
-        assert batch[j].value == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
-        assert batch[j].range_ok == slow.range_ok
+        assert values[j] == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
+        assert range_ok[j] == slow.range_ok
 
 
-# gnq_diagonal ------------------------------------------------------------
+# diagonal_scores ------------------------------------------------------------
 
 
 def test_diagonal_basic():
-    summary = full_gram(np.array([[1.0, 0.0], [0.0, 1.0]]), (0, 1), GramMode.DIAGONAL)
-    score = gnq_diagonal(summary, np.array([1.0, 0.0]))
-    assert score.value == pytest.approx(1.0)
-    assert score.range_ok
+    values, range_ok = diagonal_scores(np.array([[1.0, 0.0], [0.0, 1.0]]), np.arange(2))
+    assert values[0] == pytest.approx(1.0)
+    assert range_ok[0]
 
 
 def test_diagonal_direct_sum():
-    summary = full_gram(np.array([[np.sqrt(2.0), 2.0]]), (0,), GramMode.DIAGONAL)
-    score = gnq_diagonal(summary, np.array([2.0, 2.0]))
-    assert score.value == pytest.approx(3.0, rel=1e-12)
+    # G = (2, 4) from the member row alone; row 1 scores 4/2 + 4/4.
+    values, _ = diagonal_scores(np.array([[np.sqrt(2.0), 2.0], [2.0, 2.0]]), np.array([0]))
+    assert values[1] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_diagonal_zero_column_flag():
-    summary = full_gram(np.array([[1.0, 0.0]]), (0,), GramMode.DIAGONAL)
-    score = gnq_diagonal(summary, np.array([0.0, 1.0]))
-    assert score.value == 0.0
-    assert not score.range_ok
+    values, range_ok = diagonal_scores(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0]))
+    assert values[1] == 0.0
+    assert not range_ok[1]
 
 
 def test_diagonal_equals_exact_for_axis_aligned():
     # Axis-aligned gradients make S exactly diagonal. The diagonal mode sums
-    # over all rows (own row included), so compare against gnq_exact on a
-    # set where example 0's own contribution is removed by hand.
+    # over all member rows (own row included), so compare against gnq_exact
+    # with example j's own row left out of the members by hand.
     g = np.array([[3.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
     for j in range(4):
-        others = np.delete(g, j, axis=0)
-        summary = full_gram(others, tuple(range(3)), GramMode.DIAGONAL)
-        d = gnq_diagonal(summary, g[j])
+        values, _ = diagonal_scores(g, np.delete(np.arange(4), j))
         e = gnq_exact(gs(g), j)
-        assert d.value == pytest.approx(e.value, rel=1e-10)
+        assert values[j] == pytest.approx(e.value, rel=1e-10)
 
 
-def test_diagonal_dimension_mismatch():
-    summary = full_gram(np.array([[1.0, 0.0]]), (0,), GramMode.DIAGONAL)
-    with pytest.raises(Exception):
-        gnq_diagonal(summary, np.array([1.0, 0.0, 0.0]))
-
-
-# gnq_batch ------------------------------------------------------------------
+# batch-restricted loo_scores ----------------------------------------------------
 
 
 def test_batch_of_two():
-    score = gnq_batch(gs([(1, 0), (0, 2)]), 1)
-    assert score.value == 0.0
-    assert not score.range_ok
+    values, range_ok, _ = loo([(1, 0), (0, 2)], members=[0, 1])
+    assert values[1] == 0.0
+    assert not range_ok[1]
 
 
 def test_batch_equals_exact_when_batch_is_everything():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(6, 3))
+    values, range_ok, _ = loo(g, members=np.arange(6))
     for j in range(6):
-        b = gnq_batch(gs(g), j)
         e = gnq_exact(gs(g), j)
-        assert b.value == pytest.approx(e.value, rel=1e-12, abs=1e-14)
-        assert b.range_ok == e.range_ok
+        assert values[j] == pytest.approx(e.value, rel=1e-12, abs=1e-14)
+        assert range_ok[j] == e.range_ok
 
 
-def test_batch_size_one_rejected():
-    with pytest.raises(InsufficientDataError):
-        gnq_batch(gs([(1.0, 0.0)]), 0)
+def test_batch_of_one_scores_zero_out_of_range():
+    # The lone member's leave-one-out Gram is empty; a non-member is scored
+    # against that member's rank-one Gram.
+    values, range_ok, _ = loo([(1.0, 0.0), (2.0, 0.0), (0.0, 1.0)], members=[0])
+    assert values.tolist() == [0.0, pytest.approx(4.0, rel=1e-12), 0.0]
+    assert range_ok.tolist() == [False, True, False]
 
 
 def test_batch_mode_rank_correlates_with_exact():
@@ -400,9 +399,7 @@ def test_batch_mode_rank_correlates_with_exact():
     batch_vals = np.zeros(64)
     perm = rng.permutation(64)
     for half in (perm[:32], perm[32:]):
-        sub = g[half]
-        for pos, j in enumerate(half):
-            batch_vals[j] = gnq_batch(gs(sub), pos).value
+        batch_vals[half] = loo(g, members=half)[0][half]
     rho = stats.spearmanr(exact, batch_vals).statistic
     assert rho > 0.5
 

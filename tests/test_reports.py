@@ -170,7 +170,7 @@ def test_scores_csv_layout(tmp_path, small_run):
     path = write_scores_csv(tmp_path / "scores.csv", record)
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,example_id,mode,gnq,range_ok"
-    assert len(lines) == 1 + len(record.scores)
+    assert len(lines) == 1 + record.values.size
 
 
 def test_attack_csv_layout(tmp_path, small_run):

@@ -13,8 +13,11 @@ from gnqaudit import (
     ModelSpec,
     SamplingConfig,
     SamplingScheme,
+    GradientSet,
+    gnq_exact,
     gradient_all,
     load_trajectory,
+    loo_scores,
     loss_all,
     make_blobs,
     make_linear_dataset,
@@ -132,7 +135,7 @@ def test_every_iteration_scores_all_examples_each_step():
     ds = lin_data(5)
     traj = train(cfg_of(5, 3, 2, 3, seed=1), LIN, ds)
     rec = audit(traj, ds, cadence=AuditCadence.EVERY_ITERATION)
-    assert len(rec.scores) == 3 * 5
+    assert rec.values.shape == rec.range_ok.shape == (3, 5)
     assert rec.n_examples == 5
 
 
@@ -141,7 +144,7 @@ def test_cumulative_gnq_is_the_sum_over_audited_iterations():
     traj = train(cfg_of(6, 3, 2, 9, seed=4), LIN, ds)
     rec = audit(traj, ds, cadence=AuditCadence.EVERY_EPOCH)
     for j in range(6):
-        total = sum(s.value for (it, jj), s in rec.scores.items() if jj == j)
+        total = sum(rec.values[:, j].tolist())
         assert rec.cumulative_gnq[j] == pytest.approx(total, rel=1e-12, abs=1e-15)
 
 
@@ -161,9 +164,7 @@ def test_duplicated_examples_get_equal_scores():
     ds = Dataset(name="dupes", features=feats, targets=targs)
     traj = train(cfg_of(4, 4, 4, 6, lr=0.05, seed=2), LIN, ds)
     rec = audit(traj, ds, cadence=AuditCadence.EVERY_EPOCH)
-    for it in rec.audited_iterations:
-        a = rec.scores[(it, 0)].value
-        b = rec.scores[(it, 1)].value
+    for a, b in rec.values[:, :2]:
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
@@ -175,20 +176,67 @@ def test_audit_record_carries_mode_and_tolerance():
     assert rec.tol == 1e-9
 
 
-def test_audit_record_tallies_fallbacks_per_iteration():
+def _small_mlp_run():
+    # 23 parameters: the full pool of 30 spans them, a batch of 5 does not.
     spec = ModelSpec(kind=ModelKind.MLP, input_dim=4, hidden_dim=3, n_classes=2, init="seeded_gaussian")
     ds = make_blobs([15, 15], input_dim=4, center_distance=2.0, spread=1.0, seed=0)
-    traj = train(cfg_of(30, 20, 5, 8, lr=0.5, seed=1), spec, ds)
+    return spec, ds, train(cfg_of(30, 20, 5, 8, lr=0.5, seed=1), spec, ds)
+
+
+def _basis_rows(traj, rec, it):
+    """All rows, or the batch realized at it (the last one for the final state)."""
+    if rec.mode in (GramMode.BATCH_EXACT, GramMode.BATCH_DIAGONAL):
+        return traj.batch_log[min(it, traj.cfg.n_iters - 1)].batch_indices
+    return np.arange(traj.cfg.n_total)
+
+
+def test_audit_record_tallies_fallbacks_per_iteration():
+    spec, ds, traj = _small_mlp_run()
     for mode in (GramMode.FULL_EXACT, GramMode.BATCH_EXACT):
         rec = audit(traj, ds, mode=mode)
         tally = {}
-        for (it, _), s in sorted(rec.scores.items()):
-            if s.fallback is not None:
+        for it in rec.audited_iterations:
+            grads = gradient_all(spec, traj.params_per_iter[it], ds.features, ds.targets)
+            _, _, reasons = loo_scores(grads, _basis_rows(traj, rec, it), rec.tol)
+            for reason in reasons[reasons != ""].tolist():
                 counts = tally.setdefault(it, {})
-                counts[s.fallback.value] = counts.get(s.fallback.value, 0) + 1
+                counts[reason] = counts.get(reason, 0) + 1
         assert rec.fallbacks == tally
     # Five batch members against 23 parameters: each leaves the others' span.
     assert rec.fallbacks and all(set(c) == {"crossing"} for c in rec.fallbacks.values())
+
+
+def _reference_scores(grads, basis, mode, j):
+    """Example j's score and range flag, computed on its own."""
+    if mode in (GramMode.DIAGONAL, GramMode.BATCH_DIAGONAL):
+        diag = np.sum(grads[basis] ** 2, axis=0)
+        seen = diag > 0.0
+        return float(np.sum(grads[j, seen] ** 2 / diag[seen])), bool(np.all(grads[j, ~seen] == 0.0))
+    rows = grads[basis]
+    if j in basis:
+        score = gnq_exact(GradientSet(0, rows), int(np.searchsorted(basis, j)))
+    else:
+        score = gnq_exact(GradientSet(0, np.vstack([rows, grads[j]])), len(basis))
+    return score.value, score.range_ok
+
+
+@pytest.mark.parametrize("mode", list(GramMode))
+def test_every_mode_matches_per_example_references(mode):
+    spec, ds, traj = _small_mlp_run()
+    rec = audit(traj, ds, mode=mode)
+    assert rec.values.shape == rec.range_ok.shape == (len(rec.audited_iterations), 30)
+    want_values = np.zeros_like(rec.values)
+    want_ok = np.zeros_like(rec.range_ok)
+    for row, it in enumerate(rec.audited_iterations):
+        grads = gradient_all(spec, traj.params_per_iter[it], ds.features, ds.targets)
+        basis = _basis_rows(traj, rec, it)
+        for j in range(30):
+            want_values[row, j], want_ok[row, j] = _reference_scores(grads, basis, mode, j)
+    np.testing.assert_allclose(rec.values, want_values, rtol=1e-8, atol=1e-10)
+    assert np.array_equal(rec.range_ok, want_ok)
+    flagged = [(it, j) for row, it in enumerate(rec.audited_iterations) for j in range(30) if not want_ok[row, j]]
+    assert rec.range_violations == tuple(flagged)
+    np.testing.assert_allclose(rec.cumulative_gnq, want_values.sum(axis=0), rtol=1e-8, atol=1e-10)
 
 
 def test_capacity_error_in_exact_mode_suggests_diagonal():
