@@ -285,6 +285,8 @@ def _obtain_trajectory(cfg: RunConfig, args: argparse.Namespace):
             raise ConfigurationError(
                 "trajectory checkpoint was trained with a different model config"
             )
+        if traj.dataset_sha256 != data.sha256:
+            raise ConfigurationError("trajectory checkpoint was trained on a different dataset")
         return traj, data
     cfg.require("sampling", "model")
     return train(cfg.sampling, cfg.model, data), data

@@ -10,6 +10,7 @@ the sampling draw and carried in trajectories and reports.
 from __future__ import annotations
 
 import csv
+import hashlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,6 +50,13 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.features.shape[1]
+
+    @property
+    def sha256(self) -> str:
+        """sha256 of the features' then the targets' bytes, both as little-endian float64."""
+        h = hashlib.sha256(np.ascontiguousarray(self.features, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(self.targets, dtype="<f8").tobytes())
+        return h.hexdigest()
 
     def with_membership(self, membership: np.ndarray) -> "Dataset":
         return replace(self, membership=membership)

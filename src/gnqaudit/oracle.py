@@ -656,7 +656,7 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
     instances.append(crossing)
     worst = 0.0
     for vectors in instances:
-        values, _, reasons = loo_scores(vectors, np.arange(len(vectors)), tol)
+        values, _, reasons, _ = loo_scores(vectors, np.arange(len(vectors)), tol)
         for j, value in enumerate(values):
             others = np.delete(vectors, j, axis=0)
             s_pinv = np.linalg.pinv(others.T @ others, rcond=tol, hermitian=True)
@@ -671,6 +671,43 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
             tolerance=1e-9,
             passed=worst <= 1e-9 and fell_back == FallbackReason.CROSSING.value,
             note="error relative to max(1, |pinv value|); the crossing row must fall back",
+        )
+    )
+
+    # Secular correction vs np.linalg.pinv of each S_j, on tiny random
+    # instances whose S has planted eigenvalues at 0.2-0.99 and 1.01-3 times
+    # the cutoff: rows are scored from roots of the secular equation unless
+    # S_j keeps a different number of eigenvalues than S.
+    worst, secular, flags_agree = 0.0, 0, True
+    for _ in range(8):
+        dim = int(rng.integers(3, 7))
+        near = tol * rng.uniform(0.2, 0.99, size=int(rng.integers(1, dim - 1)))
+        kept = tol * rng.uniform(1.01, 3.0, size=dim - 1 - near.size)
+        n = int(rng.integers(2 * dim, 3 * dim + 1))
+        basis, _ = np.linalg.qr(rng.standard_normal((n, dim)))
+        rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        spectrum = np.concatenate(([1.0], kept, near))
+        vectors = basis @ np.diag(np.sqrt(spectrum)) @ rotation.T
+        values, range_ok, _, health = loo_scores(vectors, np.arange(n), tol)
+        secular += health.secular
+        for j, value in enumerate(values):
+            others = np.delete(vectors, j, axis=0)
+            s = others.T @ others
+            s_pinv = np.linalg.pinv(s, rcond=tol, hermitian=True)
+            ref = float(vectors[j] @ s_pinv @ vectors[j])
+            worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
+            resid = vectors[j] - s @ s_pinv @ vectors[j]
+            in_range = float(resid @ resid) <= tol * float(np.linalg.eigvalsh(s)[-1])
+            flags_agree &= bool(range_ok[j]) == in_range
+    checks.append(
+        FormulaCheck(
+            formula="near_cutoff_downdate_vs_pinv",
+            scheme="any",
+            max_abs_error=worst,
+            tolerance=1e-8,
+            passed=worst <= 1e-8 and flags_agree and secular > 0,
+            note=f"error relative to max(1, |pinv value|); range flags must agree; "
+            f"{secular} rows scored through the secular correction",
         )
     )
 

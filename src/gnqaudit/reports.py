@@ -182,7 +182,10 @@ def audit_health(record: AuditRecord) -> dict:
     """Numeric health of an exact audit for the report's sidecar.
 
     Counts the scores recomputed from their own factorization, in total, by
-    reason and by audited iteration.
+    reason and by audited iteration. For every audited iteration, describes
+    the factored Gram matrix: its rank, its null count, its near-cutoff
+    eigenvalues as ratios to the cutoff, and the rows scored through the
+    secular correction.
     """
     by_reason: Counter[str] = Counter()
     for counts in record.fallbacks.values():
@@ -192,7 +195,16 @@ def audit_health(record: AuditRecord) -> dict:
             "total": sum(by_reason.values()),
             "by_reason": dict(by_reason),
             "by_iteration": {str(it): counts for it, counts in record.fallbacks.items()},
-        }
+        },
+        "spectra": {
+            str(it): {
+                "rank": h.rank,
+                "null": h.null,
+                "near_cutoff": list(h.near_cutoff),
+                "secular": h.secular,
+            }
+            for it, h in record.spectra.items()
+        },
     }
 
 

@@ -32,13 +32,13 @@ from . import geometry
 from .bounds import LeakageBound, make_leakage_bound, per_iteration_leakage
 from .data import Dataset
 from .errors import CapacityError, ConfigurationError, DivergenceError, ShapeError
-from .geometry import GradientSet, GramMode, diagonal_scores, loo_scores
+from .geometry import GradientSet, GramMode, SpectrumHealth, diagonal_scores, loo_scores
 from .models import ModelSpec, gradient_all, init_params
 from .sampling import IndicatorDraw, SamplingConfig, draw_indicators
 
 TrainHook = Callable[[int, np.ndarray, IndicatorDraw, np.ndarray], None]
 
-TRAJECTORY_FORMAT_VERSION = 1
+TRAJECTORY_FORMAT_VERSION = 2
 
 
 class AuditCadence(enum.Enum):
@@ -55,6 +55,7 @@ class TrainingTrajectory:
     model: ModelSpec
     params_per_iter: np.ndarray  # (n_iters + 1, n_params); row i is theta_i
     batch_log: tuple[IndicatorDraw, ...]
+    dataset_sha256: str  # Dataset.sha256 of the rows it was trained on
 
     def __post_init__(self) -> None:
         expected = (self.cfg.n_iters + 1, self.model.n_params)
@@ -87,6 +88,8 @@ class AuditRecord:
     batch fed a batch-restricted mode. fallbacks maps an audited iteration to
     how many exact scores there were recomputed from their own factorization,
     by FallbackReason value; iterations without fallbacks are absent.
+    spectra maps each iteration an exact mode audited to the health of the
+    Gram matrix it factored.
     """
 
     mode: GramMode
@@ -99,6 +102,7 @@ class AuditRecord:
     batch_sources: dict[int, int]
     tol: float
     fallbacks: dict[int, dict[str, int]] = field(default_factory=dict)
+    spectra: dict[int, SpectrumHealth] = field(default_factory=dict)
 
     @property
     def n_examples(self) -> int:
@@ -158,7 +162,11 @@ def train(
         for hook in hooks:
             hook(i, trajectory[i], draw, g_hat)
     return TrainingTrajectory(
-        cfg=cfg, model=model, params_per_iter=trajectory, batch_log=tuple(batch_log)
+        cfg=cfg,
+        model=model,
+        params_per_iter=trajectory,
+        batch_log=tuple(batch_log),
+        dataset_sha256=data.sha256,
     )
 
 
@@ -212,6 +220,7 @@ def audit(
     range_ok = np.zeros((len(iters), n), dtype=bool)
     batch_sources: dict[int, int] = {}
     fallbacks: dict[int, dict[str, int]] = {}
+    spectra: dict[int, SpectrumHealth] = {}
     batched = mode in (GramMode.BATCH_EXACT, GramMode.BATCH_DIAGONAL)
     for row, i in enumerate(iters):
         # GradientSet rejects non-finite gradients from a corrupt checkpoint.
@@ -227,7 +236,7 @@ def audit(
                 # Degenerate empty batch: nothing spans anything; flag, don't fail.
                 continue
         if exact:
-            values[row], range_ok[row], reasons = loo_scores(grads, members, tol)
+            values[row], range_ok[row], reasons, spectra[i] = loo_scores(grads, members, tol)
             names, counts = np.unique(reasons[reasons != ""], return_counts=True)
             if names.size:
                 fallbacks[i] = dict(zip(names.tolist(), counts.tolist()))
@@ -246,6 +255,7 @@ def audit(
         batch_sources=batch_sources,
         tol=tol,
         fallbacks=fallbacks,
+        spectra=spectra,
     )
 
 
@@ -266,6 +276,7 @@ def save_trajectory(path: str | Path, traj: TrainingTrajectory) -> None:
         "params_per_iter": [[float(v) for v in row] for row in traj.params_per_iter],
         "train_indicator": _bits_to_str(traj.train_indicator),
         "batch_indicators": [_bits_to_str(d.m) for d in traj.batch_log],
+        "dataset_sha256": traj.dataset_sha256,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -295,4 +306,5 @@ def load_trajectory(path: str | Path) -> TrainingTrajectory:
         model=model,
         params_per_iter=np.array(payload["params_per_iter"], dtype=np.float64),
         batch_log=batch_log,
+        dataset_sha256=payload["dataset_sha256"],
     )

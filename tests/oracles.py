@@ -130,6 +130,14 @@ def ref_in_range(vectors, j, tol=1e-10):
     return float(resid @ resid) <= tol * lam_max
 
 
+def ref_kept_count(vectors, j, tol=1e-10):
+    """How many eigenvalues of S = sum_{k != j} g_k g_k^T eigvalsh puts above tol * lambda_max."""
+    vectors = np.asarray(vectors, dtype=float)
+    others = np.concatenate([vectors[:j], vectors[j + 1 :]], axis=0)
+    w = np.linalg.eigvalsh(others.T @ others)
+    return int(np.sum(w > tol * max(float(w[-1]), 0.0)))
+
+
 def ref_pdet(a, tol=1e-10):
     """Product of eigenvalues above the relative cutoff."""
     w = np.linalg.eigvalsh(np.asarray(a, dtype=float))

@@ -173,6 +173,11 @@ def test_audit_sidecar_counts_fallbacks_by_reason(tmp_path):
     fallbacks = meta["fallbacks"]
     assert fallbacks["total"] == sum(fallbacks["by_reason"].values()) == 60
     assert fallbacks["by_iteration"] == {"12": fallbacks["by_reason"]}
+    # One spectrum entry per audited iteration; every row fell back.
+    spectrum = meta["spectra"]["12"]
+    assert set(meta["spectra"]) == {"12"}
+    assert spectrum["rank"] + spectrum["null"] + len(spectrum["near_cutoff"]) == 72
+    assert spectrum["secular"] == 0
     assert meta["report"] == "audit_report.json"
 
 
@@ -375,3 +380,11 @@ def test_checkpoint_config_mismatch_exits_2(tmp_path, capsys):
     for command in ("audit", "attack"):
         assert main([command, "--config", mlp_cfg, "--trajectory", blob_traj]) == 2
         assert "different model config" in capsys.readouterr().err
+    # Same sampling and model, a dataset of the same size from another blob seed.
+    swapped = json.loads(Path(logistic).read_text())
+    swapped["dataset"]["seed"] = 8
+    swapped_cfg = write_config(tmp_path, swapped, name="swapped.json")
+    for command in ("audit", "attack"):
+        assert main([command, "--config", swapped_cfg, "--trajectory", blob_traj]) == 2
+        assert "different dataset" in capsys.readouterr().err
+    assert main(["audit", "--config", logistic, "--trajectory", blob_traj]) == 0

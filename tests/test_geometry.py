@@ -19,12 +19,15 @@ from gnqaudit import (
     pdet_rank_one,
 )
 from gnqaudit.geometry import FallbackReason, downdate_guard, pdet_and_rank
+from gnqaudit.defense import split_pool
 from gnqaudit.models import ModelSpec, gradient_all, init_params
-from oracles import ref_gnq, ref_in_range, ref_pdet
+from gnqaudit.sampling import SamplingConfig
+from gnqaudit.training import train
+from oracles import ref_gnq, ref_in_range, ref_kept_count, ref_pdet
 
-UNCLEAN_CUT = FallbackReason.UNCLEAN_CUT.value
 CROSSING = FallbackReason.CROSSING.value
 OUT_OF_RANGE = FallbackReason.OUT_OF_RANGE.value
+CANCELLATION = FallbackReason.CANCELLATION.value
 
 
 def gs(rows, iteration=0):
@@ -32,9 +35,9 @@ def gs(rows, iteration=0):
 
 
 def loo(rows, tol=1e-10, members=None):
-    """loo_scores with every row a member unless members says otherwise."""
+    """loo_scores with every row a member unless members says otherwise; no health."""
     g = np.asarray(rows, dtype=float)
-    return loo_scores(g, np.arange(len(g)) if members is None else np.asarray(members), tol)
+    return loo_scores(g, np.arange(len(g)) if members is None else np.asarray(members), tol)[:3]
 
 
 # gnq_exact --------------------------------------------------------------------
@@ -206,33 +209,138 @@ def test_rounding_filled_null_space_takes_no_fallback(monkeypatch):
     w = np.linalg.eigvalsh(g.T @ g)
     assert int(np.sum(w > 1e-10 * w[-1])) == 181
     calls = _count_eigh(monkeypatch)
-    values, range_ok, reasons = loo(g)
+    values, range_ok, reasons, health = loo_scores(g, np.arange(len(g)), 1e-10)
     assert len(calls) == 1
     assert np.all(reasons == "") and range_ok.all()
+    # A clean cut with every f(c) >= 0: no secular root is needed.
+    assert health.near_cutoff == () and health.secular == 0
     for j in range(0, 200, 10):
         assert values[j] == pytest.approx(ref_gnq(g, j), rel=1e-8, abs=1e-10)
 
 
-def test_dropped_eigenvalue_near_cutoff_falls_back_everywhere(monkeypatch):
+def test_dropped_eigenvalue_near_cutoff_is_corrected_from_one_factorization(monkeypatch):
     # S has a dropped eigenvalue at 0.97 of the cutoff next to a kept one at
     # 1.3: removing a row mixes the two, so truncating S and downdating it no
-    # longer commute (the downdate alone is off by up to 10x here), and every
-    # row takes its own factorization.
+    # longer commute (the downdate alone is off by up to 10x here). The
+    # secular correction scores every row from S's one factorization, except
+    # where S_j keeps a different number of eigenvalues than S.
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.normal(size=(40, 4)))
     v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     g = q @ np.diag(np.sqrt([1.0, 0.5, 1.3e-10, 0.97e-10])) @ v.T
     w = np.linalg.eigvalsh(g.T @ g)
     assert 0.95 < w[0] / (1e-10 * w[-1]) < 1.0
+    kept = int(np.sum(w > 1e-10 * w[-1]))
+    crossings = [j for j in range(40) if ref_kept_count(g, j) != kept]
     calls = _count_eigh(monkeypatch)
     values, range_ok, reasons = loo(g)
-    assert len(calls) == 1 + 40
-    assert set(reasons.tolist()) == {UNCLEAN_CUT}
+    assert len(calls) == 1 + len(crossings)
+    assert np.flatnonzero(reasons != "").tolist() == crossings
+    assert set(reasons[crossings].tolist()) <= {CROSSING}
     for j in range(40):
         # Kept eigenvalues reach down to the cutoff, so the condition number
         # is near 1 / tol and both routes carry ~eps * 1e10 relative error.
         assert values[j] == pytest.approx(ref_gnq(g, j), rel=1e-5, abs=1e-10)
         assert range_ok[j] == ref_in_range(g, j)
+
+
+def test_near_cutoff_eigenvalue_kept_under_the_lower_cutoff_falls_back():
+    # Row 0 carries 90% of lambda_max, so S_0's cutoff is 10x lower than S's,
+    # and the near-cutoff eigenvalue (0.51 of S's cutoff, along the third
+    # axis, where row 0 also has a component) is kept by S_0: its secular
+    # root rises above S_0's cutoff, as rows 106 and 119 of the exact-epoch
+    # benchmark's iteration 144 do. Rows 1-3 are corrected from S's one
+    # factorization. Rows 4 and 5 lie along the direction S_j drops: their
+    # score (~1e-15) is q / (1 - q) ~ 1 minus a correction of the same size,
+    # a cancellation past the rounding bound, so they fall back too.
+    tol = 1e-6
+    g = np.zeros((6, 3))
+    g[0, 0], g[0, 2] = np.sqrt(0.9), 1e-4
+    g[1, 0] = np.sqrt(0.1)
+    g[2:4, 1] = np.sqrt(1.5e-6)
+    g[4:6, 2] = np.sqrt(0.25e-6)
+    rotation, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    g = g @ rotation.T
+    w = np.linalg.eigvalsh(g.T @ g)
+    assert 0.5 < w[0] / (tol * w[-1]) < 0.52
+    kept = int(np.sum(w > tol * w[-1]))
+    assert [j for j in range(6) if ref_kept_count(g, j, tol) != kept] == [0]
+    values, range_ok, reasons, health = loo_scores(g, np.arange(6), tol)
+    assert reasons.tolist() == [CROSSING, "", "", "", CANCELLATION, CANCELLATION]
+    assert health.secular == 3
+    for j in range(6):
+        assert values[j] == pytest.approx(ref_gnq(g, j, tol), rel=1e-8, abs=1e-10)
+        assert range_ok[j] == ref_in_range(g, j, tol)
+
+
+def test_member_row_the_factorization_does_not_resolve_falls_back():
+    # The batch realized at iteration 368 of the seed-2 acceptance run: 27
+    # members, S of rank 26 out of N_p = 192. Member 22's gradient
+    # (||g||^2 ~ 1e-13, far under eigh's backward error of S) lies mostly
+    # along eigenvectors S's factorization takes as null, so its removal
+    # cannot be read off S: the downdate was 35x the reference's own
+    # tolerance off. It must be recomputed.
+    spec = ModelSpec(
+        kind="mlp", input_dim=16, hidden_dim=10, n_classes=2, init="seeded_gaussian", init_scale=0.1
+    )
+    cfg = SamplingConfig(400, 200, 25, 400, 1.0, seed=2)
+    pool, _ = split_pool(make_blobs([250, 250], 16, 2.5, 1.75, seed=102), cfg)
+    traj = train(cfg, spec, pool)
+    members = traj.batch_log[368].batch_indices
+    g = gradient_all(spec, traj.params_per_iter[368], pool.features[members], pool.targets[members])
+    values, range_ok, reasons = loo(g)
+    assert reasons[22] == OUT_OF_RANGE
+    # Against pinv of the same sum, to the kappa-scaled tolerance of the
+    # benchmark's score check.
+    s = np.delete(g, 22, axis=0).T @ np.delete(g, 22, axis=0)
+    w = np.linalg.eigvalsh(s)
+    kept = w[w > 1e-10 * w[-1]]
+    want = float(g[22] @ np.linalg.pinv(s, rcond=1e-10, hermitian=True) @ g[22])
+    rel = 10 * np.finfo(float).eps * kept[-1] / kept[0]
+    assert values[22] == pytest.approx(want, rel=rel)
+    assert range_ok[22] == ref_in_range(g, 22)
+
+
+@st.composite
+def planted_spectrum(draw):
+    # One eigenvalue 1, kept ones at 1.01-3x the cutoff and near-cutoff ones
+    # at 0.2-0.99x, one of them possibly repeated. Each row lies in one of
+    # two coordinate blocks, so S is block diagonal and a row has zero
+    # components along the other block's eigenvectors.
+    tol = 1e-6
+    near = draw(st.lists(st.floats(0.2, 0.99), min_size=1, max_size=3))
+    kept = draw(st.lists(st.floats(1.01, 3.0), max_size=2))
+    spectrum = [1.0] + [tol * k for k in kept] + [tol * r for r in near]
+    if draw(st.booleans()):
+        spectrum.append(spectrum[draw(st.integers(1, len(spectrum) - 1))])
+    split = draw(st.integers(1, len(spectrum)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for part in (spectrum[:split], spectrum[split:]):
+        if not part:
+            continue
+        m = len(part)
+        basis, _ = np.linalg.qr(rng.normal(size=(m + draw(st.integers(1, 4)), m)))
+        rotation, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        blocks.append(basis @ np.diag(np.sqrt(part)) @ rotation.T)
+    g = np.zeros((sum(b.shape[0] for b in blocks), len(spectrum)))
+    g[: blocks[0].shape[0], :split] = blocks[0]
+    if len(blocks) > 1:
+        g[blocks[0].shape[0] :, split:] = blocks[1]
+    return g, tol
+
+
+@given(case=planted_spectrum())
+@settings(max_examples=150, deadline=None)
+def test_secular_correction_matches_gnq_exact_on_planted_spectra(case):
+    g, tol = case
+    values, range_ok, _ = loo(g, tol)
+    for j in range(g.shape[0]):
+        slow = gnq_exact(gs(g), j, tol)
+        # Kept eigenvalues reach down to the cutoff: both routes carry
+        # ~eps / tol relative error.
+        assert values[j] == pytest.approx(slow.value, rel=1e-7, abs=1e-10)
+        assert range_ok[j] == slow.range_ok
 
 
 def test_cutoff_crossing_row_falls_back():
@@ -282,7 +390,7 @@ def test_residual_beyond_the_dropped_eigenvalues_falls_back():
     # the range check does not.
     rows = np.array([[1.0, 0.0], [0.0, 1e-3]])
     v = np.array([[0.0, 1.0], [1.0, 0.0]])  # e2 with eigenvalue 0, e1 with 1
-    _, reasons = downdate_guard(np.array([0.0, 1.0]), v, rows, 1e-10)
+    _, _, reasons, _ = downdate_guard(np.array([0.0, 1.0]), v, rows, 1e-10)
     assert reasons.tolist() == [CROSSING, OUT_OF_RANGE]
 
 

@@ -195,9 +195,11 @@ def test_audit_record_tallies_fallbacks_per_iteration():
     for mode in (GramMode.FULL_EXACT, GramMode.BATCH_EXACT):
         rec = audit(traj, ds, mode=mode)
         tally = {}
+        assert set(rec.spectra) == set(rec.audited_iterations)
         for it in rec.audited_iterations:
             grads = gradient_all(spec, traj.params_per_iter[it], ds.features, ds.targets)
-            _, _, reasons = loo_scores(grads, _basis_rows(traj, rec, it), rec.tol)
+            _, _, reasons, health = loo_scores(grads, _basis_rows(traj, rec, it), rec.tol)
+            assert rec.spectra[it] == health
             for reason in reasons[reasons != ""].tolist():
                 counts = tally.setdefault(it, {})
                 counts[reason] = counts.get(reason, 0) + 1
@@ -258,6 +260,7 @@ def test_trajectory_round_trip(tmp_path):
     back = load_trajectory(path)
     assert back.cfg == traj.cfg
     assert back.model == traj.model
+    assert back.dataset_sha256 == traj.dataset_sha256 == ds.sha256
     assert all(np.array_equal(a, b) for a, b in zip(back.params_per_iter, traj.params_per_iter))
     assert all(
         np.array_equal(a.t, b.t) and np.array_equal(a.m, b.m)
