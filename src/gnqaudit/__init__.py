@@ -14,15 +14,14 @@ from ._version import __version__
 from .attack import AttackResult, BinnedCurve, loss_attack, rank_auc, success_vs_gnq
 from .bounds import (
     FanoBound,
-    LeakageBound,
     binary_entropy,
+    fano_chain,
     fano_error_bound,
     inverse_binary_entropy,
     per_iteration_leakage,
     per_iteration_leakage_exact_ratio,
     per_iteration_leakage_general,
     prior_entropy,
-    total_leakage,
 )
 from .data import (
     Dataset,

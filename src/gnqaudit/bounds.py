@@ -13,7 +13,13 @@ adversary that sees the released model: pe_lower near 0.5 means nobody can
 beat random guessing on example j, while a total that consumes the whole
 prior drives the floor to 0 and the bound is reported as vacuous rather than
 meaningful. Everything is in bits (log base 2), so priors and Fano entropies
-live in [0, 1].
+live in [0, 1]. The Fano step is Fano's inequality for a binary T_j (Cover &
+Thomas, Elements of Information Theory, section 2.10).
+
+Every step is elementwise: a float in gives a float out, and an array of
+scores gives arrays, so `fano_chain` turns a whole audit's (audits, examples)
+bits into every example's total and floor at once, and the `bound` command
+reads the same functions one score at a time.
 
 `per_iteration_leakage` uses the asymptotic variance ratio kappa; the
 finite-population variant `per_iteration_leakage_exact_ratio` keeps the exact
@@ -23,8 +29,8 @@ measure how much the asymptotic simplification gives away on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,52 +38,40 @@ from .errors import ConfigurationError
 from .sampling import SamplingConfig, SamplingScheme, indicator_moments
 
 _BISECTION_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LeakageBound:
-    """Full leakage chain for one example.
-
-    per_iteration_bits holds I_ij for every audited iteration in audit order;
-    total_bits is their sum; fano_entropy_bits = clamp(prior - total, 0, 1);
-    pe_lower is the Fano floor on [0, 0.5]. vacuous marks a positive total
-    that met or exceeded the prior, i.e. a floor of 0 that carries no
-    information.
-    """
-
-    example: int
-    prior_entropy_bits: float
-    per_iteration_bits: tuple[float, ...]
-    total_bits: float
-    fano_entropy_bits: float
-    pe_lower: float
-    vacuous: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "example": self.example,
-            "prior_entropy_bits": self.prior_entropy_bits,
-            "per_iteration_bits": list(self.per_iteration_bits),
-            "total_bits": self.total_bits,
-            "fano_entropy_bits": self.fano_entropy_bits,
-            "pe_lower": self.pe_lower,
-            "vacuous": self.vacuous,
-        }
+# Halvings of [0, 0.5] until the bracket is narrower than _BISECTION_TOL (39).
+_HALVINGS = math.ceil(math.log2(0.5 / _BISECTION_TOL))
 
 
 class FanoBound(NamedTuple):
-    fano_entropy_bits: float
-    pe_lower: float
-    vacuous: bool
+    """Fano floor fields: floats for a float total, arrays for an array of totals."""
+
+    fano_entropy_bits: float | np.ndarray
+    pe_lower: float | np.ndarray
+    vacuous: bool | np.ndarray
 
 
-def binary_entropy(p: float) -> float:
-    """H(p) = -p log2 p - (1-p) log2 (1-p), with H(0) = H(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigurationError(f"probability must be in [0, 1], got {p}")
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+def _as_given(x: np.ndarray, scalar=float):
+    """A 0-d result as a Python scalar, any other array as it is."""
+    return scalar(x) if x.ndim == 0 else x
+
+
+def _require_unit(x: np.ndarray, what: str) -> None:
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not np.all(inside):
+        raise ConfigurationError(f"{what}, got {float(x[~inside][0])}")
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    return -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+
+
+def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
+    """H(p) = -p log2 p - (1-p) log2 (1-p) elementwise, with H(0) = H(1) = 0."""
+    q = np.asarray(p, dtype=np.float64)
+    _require_unit(q, "probability must be in [0, 1]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where((q == 0.0) | (q == 1.0), 0.0, _entropy(q))
+    return _as_given(h)
 
 
 def prior_entropy(n_train: int, n_total: int) -> float:
@@ -106,7 +100,7 @@ def per_iteration_leakage(gnq: float | np.ndarray, cfg: SamplingConfig) -> float
         kappa = indicator_moments(cfg).kappa
         prior = cfg.n_train / cfg.n_total
         bits = 0.5 * (np.log2(1.0 + g) - prior * np.log2(1.0 + kappa * g))
-    return float(bits) if bits.ndim == 0 else bits
+    return _as_given(bits)
 
 
 def per_iteration_leakage_exact_ratio(gnq: float, cfg: SamplingConfig, n_params: int) -> float:
@@ -156,74 +150,63 @@ def per_iteration_leakage_general(
     return float(h_marginal - h_given_out - prior * (h_given_in - h_given_out))
 
 
-def total_leakage(per_iter: Sequence[float]) -> float:
-    """Sum of per-iteration bits; an upper bound on what any adversary extracts."""
-    values = np.asarray(per_iter, dtype=np.float64)
-    if values.size and not np.all(np.isfinite(values)):
-        raise ConfigurationError("per-iteration leakage terms must be finite")
-    return float(values.sum())
+def inverse_binary_entropy(h: float | np.ndarray) -> float | np.ndarray:
+    """The p in [0, 0.5] with binary_entropy(p) = h, elementwise, by bisection.
 
-
-def inverse_binary_entropy(h: float) -> float:
-    """The unique p in [0, 0.5] with binary_entropy(p) = h, by bisection.
-
-    Endpoints are returned exactly; interior values are bisected until the
-    bracket is narrower than 1e-12.
+    Endpoints are returned exactly; interior values take _HALVINGS halvings of
+    [0, 0.5], which leave a bracket narrower than 1e-12.
     """
-    if not 0.0 <= h <= 1.0:
-        raise ConfigurationError(f"entropy must be in [0, 1] bits, got {h}")
-    if h == 0.0:
-        return 0.0
-    if h == 1.0:
-        return 0.5
-    lo, hi = 0.0, 0.5
-    while hi - lo > _BISECTION_TOL:
+    x = np.asarray(h, dtype=np.float64)
+    _require_unit(x, "entropy must be in [0, 1] bits")
+    lo = np.zeros_like(x)
+    hi = np.full_like(x, 0.5)
+    for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < h:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = _entropy(mid) < x
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    p = np.where(x == 0.0, 0.0, np.where(x == 1.0, 0.5, 0.5 * (lo + hi)))
+    return _as_given(p)
 
 
-def fano_error_bound(prior_bits: float, total_bits: float) -> FanoBound:
-    """Fano floor on adversary error from the prior and the leakage total.
+def fano_error_bound(
+    prior_bits: float | np.ndarray, total_bits: float | np.ndarray
+) -> FanoBound:
+    """Fano floor on adversary error from the prior and the leakage total, elementwise.
 
     fano_entropy_bits = clamp(prior - total, 0, 1); pe_lower inverts it on
     [0, 0.5]. The bound is flagged vacuous when a positive total consumed the
     entire prior (the clamp at 0 fired), which says nothing about the example
     beyond "the bound gives no protection guarantee".
     """
-    if not 0.0 <= prior_bits <= 1.0:
-        raise ConfigurationError(f"prior must be in [0, 1] bits, got {prior_bits}")
-    if total_bits < 0.0:
-        raise ConfigurationError(f"total leakage must be nonnegative, got {total_bits}")
-    remaining = min(max(prior_bits - total_bits, 0.0), 1.0)
-    vacuous = total_bits > 0.0 and total_bits >= prior_bits
+    prior = np.asarray(prior_bits, dtype=np.float64)
+    total = np.asarray(total_bits, dtype=np.float64)
+    _require_unit(prior, "prior must be in [0, 1] bits")
+    if np.any(total < 0.0):
+        raise ConfigurationError(
+            f"total leakage must be nonnegative, got {float(total[total < 0.0][0])}"
+        )
+    remaining = np.clip(prior - total, 0.0, 1.0)
     return FanoBound(
-        fano_entropy_bits=remaining,
+        fano_entropy_bits=_as_given(remaining),
         pe_lower=inverse_binary_entropy(remaining),
-        vacuous=vacuous,
+        vacuous=_as_given((total > 0.0) & (total >= prior), bool),
     )
 
 
-def make_leakage_bound(
-    example: int, per_iter_bits: Sequence[float], cfg: SamplingConfig
-) -> LeakageBound:
-    """Assemble the full chain for one example from its per-iteration bits."""
-    prior = prior_entropy(cfg.n_train, cfg.n_total)
-    total = total_leakage(per_iter_bits)
-    # Rounding can push a sum of nonnegative terms a hair below zero.
-    fano = fano_error_bound(prior, max(total, 0.0))
-    return LeakageBound(
-        example=example,
-        prior_entropy_bits=prior,
-        per_iteration_bits=tuple(float(x) for x in per_iter_bits),
-        total_bits=total,
-        fano_entropy_bits=fano.fano_entropy_bits,
-        pe_lower=fano.pe_lower,
-        vacuous=fano.vacuous,
-    )
+def fano_chain(prior_bits: float, bits: np.ndarray) -> tuple[np.ndarray, FanoBound]:
+    """Each example's leakage total and Fano floor from its per-iteration bits.
+
+    bits[r, j] is example j's leakage at the r-th audited iteration; every
+    term must be finite. total[j] sums column j as its own contiguous row,
+    the same pairwise sum as over a 1-d array, and the floor reads a total
+    that rounding pushed a hair below zero as 0.
+    """
+    bits = np.asarray(bits, dtype=np.float64)
+    if not np.all(np.isfinite(bits)):
+        raise ConfigurationError("per-iteration leakage terms must be finite")
+    total = np.ascontiguousarray(bits.T).sum(axis=1)
+    return total, fano_error_bound(prior_bits, np.maximum(total, 0.0))
 
 
 def growth_condition_holds(cfg: SamplingConfig) -> bool:

@@ -345,18 +345,19 @@ def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> None:
     cfg.require("sampling")
     s = cfg.sampling
     prior = prior_entropy(s.n_train, s.n_total)
-    rows = []
-    for g in cfg.bound_gnq:
-        bits = per_iteration_leakage(g, s)
-        fano = fano_error_bound(prior, bits)
-        rows.append(
-            {
-                "gnq": g,
-                "per_iteration_bits": bits,
-                "pe_lower_single_iteration": fano.pe_lower,
-                "vacuous": fano.vacuous,
-            }
+    bits = per_iteration_leakage(np.array(cfg.bound_gnq, dtype=np.float64), s)
+    fano = fano_error_bound(prior, bits)
+    rows = [
+        {
+            "gnq": g,
+            "per_iteration_bits": b,
+            "pe_lower_single_iteration": pe,
+            "vacuous": vacuous,
+        }
+        for g, b, pe, vacuous in zip(
+            cfg.bound_gnq, bits.tolist(), fano.pe_lower.tolist(), fano.vacuous.tolist()
         )
+    ]
     payload = {
         "prior_entropy_bits": prior,
         "monotone_growth_condition": growth_condition_holds(s),

@@ -37,7 +37,7 @@ class BoundSummary:
 
     @classmethod
     def from_record(cls, record: AuditRecord) -> "BoundSummary":
-        pe = np.array([b.pe_lower for b in record.bounds])
+        pe = record.fano.pe_lower
         return cls(pe_lower_min=float(pe.min()), pe_lower_mean=float(pe.mean()))
 
 
@@ -58,7 +58,6 @@ class DefenseReport:
     survivor_pe_mean_after: float
     survivor_bound_improved: bool
     n_train_after: int
-    seed_offset: int
 
 
 def rank_examples(record: AuditRecord) -> np.ndarray:
@@ -121,7 +120,7 @@ def run_defense_sweep(
 
     The baseline is trained and audited once and shared by every fraction, so
     k fractions cost k + 1 train-and-audit runs. p = 0 removes nothing and,
-    because the retrain reuses the same base seed (seed_offset 0), reproduces
+    because the retrain reuses the same base seed, reproduces
     the baseline bit for bit.
     """
     if not fractions:
@@ -133,7 +132,7 @@ def run_defense_sweep(
     baseline = _run_one(cfg, model, pool, test, audit_mode, cadence, tol)
     n_pool = len(pool)
     ranked = rank_examples(baseline.record)
-    pe_before = np.array([b.pe_lower for b in baseline.record.bounds])
+    pe_before = baseline.record.fano.pe_lower
     reports = []
     for p in fractions:
         k = math.ceil(p * n_pool)
@@ -150,7 +149,7 @@ def run_defense_sweep(
             cfg_after, model, pool.subset(survivors), test, audit_mode, cadence, tol
         )
         survivor_before = float(pe_before[survivors].mean())
-        survivor_after = float(np.mean([b.pe_lower for b in filtered.record.bounds]))
+        survivor_after = float(filtered.record.fano.pe_lower.mean())
         reports.append(
             DefenseReport(
                 removed_fraction=p,
@@ -165,7 +164,6 @@ def run_defense_sweep(
                 survivor_pe_mean_after=survivor_after,
                 survivor_bound_improved=survivor_after >= survivor_before,
                 n_train_after=n_train_after,
-                seed_offset=0,
             )
         )
     return reports

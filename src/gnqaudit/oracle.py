@@ -31,11 +31,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import per_iteration_leakage, per_iteration_leakage_exact_ratio, prior_entropy
+from .bounds import (
+    per_iteration_leakage,
+    per_iteration_leakage_exact_ratio,
+    per_iteration_leakage_general,
+    prior_entropy,
+)
 from .errors import CapacityError, ConfigurationError
 from .geometry import (
     FallbackReason,
     GradientSet,
+    gnq_exact,
     loo_scores,
     pdet_and_rank,
     pdet_rank_one,
@@ -229,7 +235,6 @@ def gaussian_leakage_from_covariances(
     sampled triples use eigenvalue products. Rank disagreements are flagged
     and the residual (2 pi e)^(dr) factors kept.
     """
-    prior = cfg.n_train / cfg.n_total
     if triple.source is CovarianceSource.CLOSED_FORM:
         gj = triple.g_j
         pdet0, r0 = pdet_and_rank(triple.sigma0, tol)
@@ -249,9 +254,10 @@ def gaussian_leakage_from_covariances(
     h = 0.5 * (r * log_two_pi_e + np.log2(pdet_sigma))
     h0 = 0.5 * (r0 * log_two_pi_e + np.log2(pdet0))
     h1 = 0.5 * (r1 * log_two_pi_e + np.log2(pdet_sigma1))
-    bits = float(h - h0 - prior * (h1 - h0))
     return GaussianLeakage(
-        bits=bits, rank_consistent=(r == r0 == r1), ranks=(int(r), int(r0), int(r1))
+        bits=per_iteration_leakage_general(h, h0, h1, cfg),
+        rank_consistent=(r == r0 == r1),
+        ranks=(int(r), int(r0), int(r1)),
     )
 
 
@@ -507,9 +513,7 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
         a = basis @ basis.T
         q_vec = basis @ rng.standard_normal(rank)
         pdet_a, rank_a = pdet_and_rank(a)
-        w, v = np.linalg.eigh(a)
-        keep = w > 1e-10 * w[-1]
-        quad = float(((v[:, keep].T @ q_vec) ** 2 / w[keep]).sum())
+        quad, _ = pinv_quadform(a, q_vec, 1e-10)
         updated = a + np.outer(q_vec, q_vec)
         pdet_direct, rank_direct = pdet_and_rank(updated)
         rel = abs(pdet_rank_one(pdet_a, quad) - pdet_direct) / pdet_direct
@@ -534,11 +538,7 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
         )
         triple = closed_form_covariances(grads, cfg, j)
         gauss = gaussian_leakage_from_covariances(triple, cfg)
-        others = np.delete(grads.vectors, j, axis=0)
-        s = others.T @ others
-        w, v = np.linalg.eigh(s)
-        keep = w > 1e-10 * max(float(w[-1]), 0.0)
-        gnq = float(((v[:, keep].T @ grads.vectors[j]) ** 2 / w[keep]).sum())
+        gnq = gnq_exact(grads, j, 1e-10).value
         kappa_factor = 1.0 if corrupt != "kappa" else 1.05
         direct = per_iteration_leakage(gnq * kappa_factor, cfg)
         worst = max(worst, abs(gauss.bits - direct))

@@ -26,34 +26,26 @@ from .oracle import OracleReport
 from .training import AuditRecord
 
 
-def _jsonable(obj):
-    """Recursively coerce numpy scalars/arrays, enums, tuples to JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """json's hook for what it cannot write itself: enums and numpy values.
+
+    np.float64 subclasses float, so json writes it with float's repr and never
+    asks here; tuples are written as lists.
+    """
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 def config_hash(config: dict) -> str:
     """Stable hash of a config dict; key order and whitespace do not matter."""
-    blob = json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=_json_default)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -62,7 +54,7 @@ def finalize_report(kind: str, payload: dict, config: dict) -> dict:
     out["report_kind"] = kind
     out["library_version"] = __version__
     out["config_hash"] = config_hash(config)
-    out["config"] = _jsonable(config)
+    out["config"] = config
     return out
 
 
@@ -156,12 +148,30 @@ def audit_report(record: AuditRecord, config: dict, ranking: np.ndarray) -> dict
     initial parameters; total_bits_excluding_first drops that first audit
     point for consumers who treat the init as public.
     """
-    per_example = []
-    for bound in record.bounds:
-        entry = bound.to_json_dict()
-        entry["cumulative_gnq"] = float(record.cumulative_gnq[bound.example])
-        entry["total_bits_excluding_first"] = float(sum(bound.per_iteration_bits[1:]))
-        per_example.append(entry)
+    fano = record.fano
+    per_example = [
+        {
+            "example": j,
+            "prior_entropy_bits": record.prior_entropy_bits,
+            "per_iteration_bits": bits,
+            "total_bits": total,
+            "fano_entropy_bits": remaining,
+            "pe_lower": pe,
+            "vacuous": vacuous,
+            "cumulative_gnq": cum,
+            "total_bits_excluding_first": float(sum(bits[1:])),
+        }
+        for j, (bits, total, remaining, pe, vacuous, cum) in enumerate(
+            zip(
+                record.per_iteration_bits.T.tolist(),
+                record.total_bits.tolist(),
+                fano.fano_entropy_bits.tolist(),
+                fano.pe_lower.tolist(),
+                fano.vacuous.tolist(),
+                record.cumulative_gnq.tolist(),
+            )
+        )
+    ]
     range_violations = np.flatnonzero(~record.range_ok.all(axis=0))
     payload = {
         "mode": record.mode.value,
@@ -172,7 +182,7 @@ def audit_report(record: AuditRecord, config: dict, ranking: np.ndarray) -> dict
         "ranking": [int(i) for i in ranking],
         "flags": {
             "range_violations": [int(i) for i in range_violations],
-            "vacuous_bounds": [int(b.example) for b in record.bounds if b.vacuous],
+            "vacuous_bounds": np.flatnonzero(fano.vacuous).tolist(),
         },
     }
     return finalize_report("audit", payload, config)

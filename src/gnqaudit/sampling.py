@@ -103,10 +103,6 @@ class SamplingConfig:
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigurationError(f"seed must fit in u64, got {self.seed}")
 
-    @property
-    def membership_prior(self) -> float:
-        return self.n_train / self.n_total
-
     def to_json_dict(self) -> dict:
         return {
             "n_total": self.n_total,

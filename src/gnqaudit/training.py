@@ -12,10 +12,10 @@ reduction over the member rows), so trajectories are bit-identical across
 runs and platforms for identical (config, data).
 
 An audit walks recorded parameter vectors, recomputes every example's
-gradient there, scores uniqueness in the requested mode, and converts each
-example's per-iteration scores into a leakage bound. Storing parameters and
-recomputing gradients keeps memory at O(N_p * n_iters + N * N_p) instead of
-O(N * n_iters * N_p).
+gradient there, scores uniqueness in the requested mode, and converts all
+the scores into leakage bits and Fano floors in one elementwise pass.
+Storing parameters and recomputing gradients keeps memory at
+O(N_p * n_iters + N * N_p) instead of O(N * n_iters * N_p).
 """
 
 from __future__ import annotations
@@ -24,19 +24,16 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import geometry
-from .bounds import LeakageBound, make_leakage_bound, per_iteration_leakage
+from .bounds import FanoBound, fano_chain, per_iteration_leakage, prior_entropy
 from .data import Dataset
 from .errors import CapacityError, ConfigurationError, DivergenceError, ShapeError
 from .geometry import GradientSet, GramMode, SpectrumHealth, diagonal_scores, loo_scores
 from .models import ModelSpec, gradient_all, init_params
 from .sampling import IndicatorDraw, SamplingConfig, draw_indicators
-
-TrainHook = Callable[[int, np.ndarray, IndicatorDraw, np.ndarray], None]
 
 TRAJECTORY_FORMAT_VERSION = 2
 
@@ -79,11 +76,14 @@ class TrainingTrajectory:
 
 @dataclass(frozen=True)
 class AuditRecord:
-    """Per-iteration uniqueness scores plus derived leakage bounds.
+    """Per-iteration uniqueness scores plus the leakage chain they imply.
 
     values[r, j] and range_ok[r, j] are example j's score and range flag at
     audited_iterations[r]; cumulative_gnq[j] is the sum of column j of
-    values; bounds[j] chains those same iterations into a Fano floor.
+    values. The chain is stored as arrays: per_iteration_bits[r, j] is the
+    leakage of values[r, j]; total_bits[j] sums column j; the fields of fano
+    (fano_entropy_bits, pe_lower, vacuous) are per example like total_bits;
+    prior_entropy_bits is the one prior every example shares.
     batch_sources maps an audited iteration to the iteration whose realized
     batch fed a batch-restricted mode. fallbacks maps an audited iteration to
     how many exact scores there were recomputed from their own factorization,
@@ -98,7 +98,10 @@ class AuditRecord:
     values: np.ndarray
     range_ok: np.ndarray
     cumulative_gnq: np.ndarray
-    bounds: tuple[LeakageBound, ...]
+    prior_entropy_bits: float
+    per_iteration_bits: np.ndarray
+    total_bits: np.ndarray
+    fano: FanoBound
     batch_sources: dict[int, int]
     tol: float
     fallbacks: dict[int, dict[str, int]] = field(default_factory=dict)
@@ -117,12 +120,7 @@ class AuditRecord:
         )
 
 
-def train(
-    cfg: SamplingConfig,
-    model: ModelSpec,
-    data: Dataset,
-    hooks: Sequence[TrainHook] = (),
-) -> TrainingTrajectory:
+def train(cfg: SamplingConfig, model: ModelSpec, data: Dataset) -> TrainingTrajectory:
     """Run SGD for cfg.n_iters iterations and record the full trajectory.
 
     Raises DivergenceError (naming the iteration) as soon as a batch gradient
@@ -159,8 +157,6 @@ def train(
             raise DivergenceError(f"non-finite parameters after iteration {i}", iteration=i)
         trajectory[i + 1] = params
         batch_log.append(draw)
-        for hook in hooks:
-            hook(i, trajectory[i], draw, g_hat)
     return TrainingTrajectory(
         cfg=cfg,
         model=model,
@@ -242,8 +238,9 @@ def audit(
                 fallbacks[i] = dict(zip(names.tolist(), counts.tolist()))
         else:
             values[row], range_ok[row] = diagonal_scores(grads, members)
-    # Each example's bits as its own contiguous row, summed like a 1-d list.
-    bits = np.ascontiguousarray(per_iteration_leakage(values, traj.cfg).T)
+    prior = prior_entropy(traj.cfg.n_train, traj.cfg.n_total)
+    bits = per_iteration_leakage(values, traj.cfg)
+    total, fano = fano_chain(prior, bits)
     return AuditRecord(
         mode=mode,
         cadence=cadence,
@@ -251,7 +248,10 @@ def audit(
         values=values,
         range_ok=range_ok,
         cumulative_gnq=values.sum(axis=0),
-        bounds=tuple(make_leakage_bound(j, bits[j], traj.cfg) for j in range(n)),
+        prior_entropy_bits=prior,
+        per_iteration_bits=bits,
+        total_bits=total,
+        fano=fano,
         batch_sources=batch_sources,
         tol=tol,
         fallbacks=fallbacks,

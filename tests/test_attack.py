@@ -18,6 +18,7 @@ from gnqaudit import (
     train,
 )
 from gnqaudit.attack import AttackResult
+from gnqaudit.bounds import fano_error_bound
 from gnqaudit.training import AuditCadence, AuditRecord
 from oracles import ref_auc
 
@@ -31,7 +32,10 @@ def fake_record(gnq):
         values=gnq[None, :],
         range_ok=np.ones((1, gnq.size), dtype=bool),
         cumulative_gnq=gnq,
-        bounds=(),
+        prior_entropy_bits=1.0,
+        per_iteration_bits=np.zeros((1, gnq.size)),
+        total_bits=np.zeros(gnq.size),
+        fano=fano_error_bound(1.0, np.zeros(gnq.size)),
         batch_sources={},
         tol=1e-10,
     )

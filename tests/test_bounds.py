@@ -16,9 +16,8 @@ from gnqaudit import (
     per_iteration_leakage_exact_ratio,
     per_iteration_leakage_general,
     prior_entropy,
-    total_leakage,
 )
-from gnqaudit.bounds import growth_condition_holds, make_leakage_bound
+from gnqaudit.bounds import fano_chain, growth_condition_holds
 from oracles import FROZEN, ref_binary_entropy, ref_inverse_binary_entropy, ref_leakage_bits
 
 BER = SamplingScheme.INDEPENDENT_BERNOULLI
@@ -144,16 +143,27 @@ def test_general_form_vacuous_conditioning():
 # totals ------------------------------------------------------------------------
 
 
+def total_of(per_iter):
+    """One example's total from the array chain; its bits form one column."""
+    total, _ = fano_chain(1.0, np.reshape(per_iter, (-1, 1)))
+    return float(total[0])
+
+
 def test_total_empty():
-    assert total_leakage([]) == 0.0
+    assert total_of([]) == 0.0
 
 
 def test_total_sum():
-    assert total_leakage([0.1, 0.2, 0.3]) == pytest.approx(0.6)
+    assert total_of([0.1, 0.2, 0.3]) == pytest.approx(0.6)
 
 
 def test_total_equal_terms():
-    assert total_leakage([0.05] * 7) == pytest.approx(0.35)
+    assert total_of([0.05] * 7) == pytest.approx(0.35)
+
+
+def test_total_rejects_non_finite_terms():
+    with pytest.raises(ConfigurationError):
+        fano_chain(1.0, np.array([[0.1, 0.2], [np.inf, 0.0]]))
 
 
 # inverse binary entropy ---------------------------------------------------------
@@ -238,21 +248,48 @@ def test_fano_monotone_in_prior(prior_a, prior_b, leak):
     assert fano_error_bound(lo, leak).pe_lower <= fano_error_bound(hi, leak).pe_lower + 1e-12
 
 
-def test_make_leakage_bound_fields():
+def test_leakage_chain_fields():
     cfg = cfg_of(100, 50, 10)
     per_iter = [0.01, 0.02, 0.0, 0.04]
-    lb = make_leakage_bound(3, per_iter, cfg)
-    assert lb.example == 3
-    assert lb.prior_entropy_bits == 1.0
-    assert lb.total_bits == pytest.approx(sum(per_iter))
-    assert lb.fano_entropy_bits == pytest.approx(1.0 - sum(per_iter))
-    assert 0.0 <= lb.pe_lower <= 0.5
-    assert not lb.vacuous
+    prior = prior_entropy(cfg.n_train, cfg.n_total)
+    # Example 3 of four; the others leak nothing.
+    bits = np.zeros((4, 4))
+    bits[:, 3] = per_iter
+    total, fano = fano_chain(prior, bits)
+    assert total.shape == fano.pe_lower.shape == (4,)
+    assert prior == 1.0
+    assert total[3] == pytest.approx(sum(per_iter))
+    assert fano.fano_entropy_bits[3] == pytest.approx(1.0 - sum(per_iter))
+    assert 0.0 <= fano.pe_lower[3] <= 0.5
+    assert not fano.vacuous[3]
 
 
-def test_make_leakage_bound_vacuous_flag():
+def test_leakage_chain_vacuous_flag():
     cfg = cfg_of(100, 50, 10)
-    lb = make_leakage_bound(0, [0.6, 0.7], cfg)
-    assert lb.fano_entropy_bits == 0.0
-    assert lb.pe_lower == 0.0
-    assert lb.vacuous
+    total, fano = fano_chain(prior_entropy(cfg.n_train, cfg.n_total), np.array([[0.6], [0.7]]))
+    assert fano.fano_entropy_bits[0] == 0.0
+    assert fano.pe_lower[0] == 0.0
+    assert fano.vacuous[0]
+
+
+def test_array_chain_equals_scalar_calls():
+    # h = 0 and h = 1 endpoints, interior values, totals past the prior (the
+    # clamp and the vacuous flag), and a total rounded a hair below zero.
+    h = np.array([0.0, 1.0, 0.5, 1e-9, 0.25, 0.999, 0.8112781244591328])
+    got = inverse_binary_entropy(h)
+    assert isinstance(got, np.ndarray)
+    assert all(got[i] == inverse_binary_entropy(float(x)) for i, x in enumerate(h))
+    prior = 0.8112781244591328
+    bits = np.array([[0.0, 0.3, 0.5, 0.7, 1e-17], [0.0, 0.2, 0.4, 0.3, -2e-17]])
+    total, fano = fano_chain(prior, bits)
+    assert total[4] < 0.0
+    for j in range(bits.shape[1]):
+        want = fano_error_bound(prior, max(float(total[j]), 0.0))
+        assert type(want.pe_lower) is float and type(want.vacuous) is bool
+        assert fano.fano_entropy_bits[j] == want.fano_entropy_bits
+        assert fano.pe_lower[j] == want.pe_lower
+        assert fano.vacuous[j] == want.vacuous
+    assert fano.vacuous.tolist() == [False, False, True, True, False]
+    assert fano.pe_lower[0] == inverse_binary_entropy(prior)
+    arr = fano_error_bound(1.0, np.array([0.0, 1.0, 0.4]))
+    assert arr.pe_lower.tolist() == [inverse_binary_entropy(h) for h in (1.0, 0.0, 0.6)]

@@ -9,6 +9,7 @@ import pytest
 
 from gnqaudit import (
     Dataset,
+    GramMode,
     ModelKind,
     ModelSpec,
     SamplingConfig,
@@ -67,6 +68,31 @@ def test_canonical_json_round_trips():
 
 def test_canonical_json_ends_with_newline():
     assert canonical_json({}).endswith("\n")
+
+
+def test_numpy_and_enum_values_serialize_like_plain_python():
+    payload = {
+        "f": np.float64(0.1) + np.float64(0.2),
+        "i": np.int64(7),
+        "b": np.bool_(True),
+        "mode": GramMode.BATCH_EXACT,
+        "t": (1, np.float64(2.5)),
+        "m": np.arange(6.0).reshape(2, 3) / 7.0,
+    }
+    plain = {
+        "f": 0.1 + 0.2,
+        "i": 7,
+        "b": True,
+        "mode": "batch_exact",
+        "t": [1, 2.5],
+        "m": [[k / 7.0 for k in range(3)], [k / 7.0 for k in range(3, 6)]],
+    }
+    assert canonical_json(payload) == canonical_json(plain)
+    assert config_hash(payload) == config_hash(plain)
+    with pytest.raises(TypeError):
+        canonical_json({"x": object()})
+    with pytest.raises(TypeError):
+        config_hash({"x": {1, 2}})
 
 
 def test_config_hash_shape_and_stability():

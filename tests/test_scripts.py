@@ -14,7 +14,6 @@ TINY = ["--per-class", "30", "--held-out", "10", "--iters", "10", "--batch-size"
     "script, extra, expect",
     [
         ("overfit_experiment.py", ["--seeds", "1"], "mean auc"),
-        ("defense_sweep.py", ["--fractions", "0", "0.1"], "0.10"),
     ],
 )
 def test_script_runs(tmp_path, script, extra, expect):

@@ -154,8 +154,8 @@ def test_leakage_bound_totals_grow_with_audited_prefix():
     final = audit(traj, ds, cadence=AuditCadence.FINAL_ONLY)
     every = audit(traj, ds, cadence=AuditCadence.EVERY_EPOCH)
     for j in range(6):
-        assert every.bounds[j].total_bits >= final.bounds[j].total_bits - 1e-12
-        assert every.bounds[j].total_bits >= 0.0
+        assert every.total_bits[j] >= final.total_bits[j] - 1e-12
+        assert every.total_bits[j] >= 0.0
 
 
 def test_duplicated_examples_get_equal_scores():
