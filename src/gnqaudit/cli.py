@@ -235,34 +235,40 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
-    return RunConfig.from_json_dict(raw, args.out, args.seed)
+    try:
+        return RunConfig.from_json_dict(raw, args.out, args.seed)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigurationError(f"bad config value: {exc!r}") from exc
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
     cfg.require("dataset")
     desc = cfg.dataset
-    kind = desc["kind"]
-    if kind == "outlier_regression":
-        return make_outlier_regression_dataset()
-    if kind == "blobs":
-        return make_blobs(
-            class_sizes=[int(c) for c in desc["class_sizes"]],
-            input_dim=int(desc.get("input_dim", 2)),
-            center_distance=float(desc.get("center_distance", 2.0)),
-            spread=float(desc.get("spread", 1.0)),
-            seed=int(desc.get("seed", 0)),
-        )
-    if kind == "linear":
-        return make_linear_dataset(
-            n_examples=int(desc["n"]),
-            slope=float(desc.get("slope", 1.0)),
-            intercept=float(desc.get("intercept", 0.0)),
-            noise_scale=float(desc.get("noise_scale", 0.1)),
-            x_low=float(desc.get("x_low", 0.0)),
-            x_high=float(desc.get("x_high", 1.0)),
-            seed=int(desc.get("seed", 0)),
-        )
-    return load_csv_dataset(desc["path"], desc.get("target", "target"))
+    try:
+        kind = desc["kind"]
+        if kind == "outlier_regression":
+            return make_outlier_regression_dataset()
+        if kind == "blobs":
+            return make_blobs(
+                class_sizes=[int(c) for c in desc["class_sizes"]],
+                input_dim=int(desc.get("input_dim", 2)),
+                center_distance=float(desc.get("center_distance", 2.0)),
+                spread=float(desc.get("spread", 1.0)),
+                seed=int(desc.get("seed", 0)),
+            )
+        if kind == "linear":
+            return make_linear_dataset(
+                n_examples=int(desc["n"]),
+                slope=float(desc.get("slope", 1.0)),
+                intercept=float(desc.get("intercept", 0.0)),
+                noise_scale=float(desc.get("noise_scale", 0.1)),
+                x_low=float(desc.get("x_low", 0.0)),
+                x_high=float(desc.get("x_high", 1.0)),
+                seed=int(desc.get("seed", 0)),
+            )
+        return load_csv_dataset(desc["path"], desc.get("target", "target"))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigurationError(f"bad dataset section: {exc!r}") from exc
 
 
 def _write_provenance(cfg: RunConfig) -> None:
@@ -417,8 +423,7 @@ def cmd_defend(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
-    corrupt = args.corrupt if args.corrupt is not None else cfg.oracle_corrupt
-    report = run_oracle_checks(seed=cfg.oracle_seed, corrupt=corrupt)
+    report = run_oracle_checks(seed=cfg.oracle_seed, corrupt=cfg.oracle_corrupt)
     extra_note = ""
     if cfg.sampling is not None:
         # An explicit sampling section asks for that instance to be enumerated
@@ -476,12 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--dump-gradients",
                 action="store_true",
                 help="also write per-example gradient rows for audited iterations",
-            )
-        if name == "oracle":
-            p.add_argument(
-                "--corrupt",
-                default=None,
-                help="deliberately corrupt a named constant (self-test that checks fail)",
             )
     return parser
 

@@ -170,8 +170,12 @@ class IndicatorMoments:
     kappa: float
 
 
+@lru_cache(maxsize=32)
 def train_indicator(cfg: SamplingConfig) -> np.ndarray:
-    """Training membership t, keyed by cfg.seed alone (fixed across iterations)."""
+    """Training membership t, keyed by cfg.seed alone (fixed across iterations).
+
+    Drawn once per config and shared, so the array is read-only.
+    """
     rng = stream(cfg.seed, _TRAIN_TAG)
     t = np.zeros(cfg.n_total, dtype=np.uint8)
     if cfg.scheme is SamplingScheme.WITHOUT_REPLACEMENT:
@@ -179,6 +183,7 @@ def train_indicator(cfg: SamplingConfig) -> np.ndarray:
         t[chosen] = 1
     else:
         t[rng.random(cfg.n_total) < cfg.n_train / cfg.n_total] = 1
+    t.setflags(write=False)
     return t
 
 
@@ -186,9 +191,10 @@ def draw_indicators(cfg: SamplingConfig, iteration: int) -> IndicatorDraw:
     """Draw the iteration's indicators.
 
     The training indicator depends only on cfg.seed, so every iteration of one
-    run shares it; the batch indicator stream is keyed by (seed, iteration),
-    so draws for distinct iterations can be produced in any order and still
-    match a sequential run bit for bit.
+    run shares it (the same read-only array); the batch indicator stream is
+    keyed by (seed, iteration), so draws for distinct iterations can be
+    produced in any order and still match a sequential run bit for bit. This
+    is the only record of a run's batches: checkpoints do not store them.
     """
     if iteration < 0:
         raise ConfigurationError(f"iteration must be >= 0, got {iteration}")

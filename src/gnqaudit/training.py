@@ -16,6 +16,10 @@ gradient there, scores uniqueness in the requested mode, and converts all
 the scores into leakage bits and Fano floors in one elementwise pass.
 Storing parameters and recomputing gradients keeps memory at
 O(N_p * n_iters + N * N_p) instead of O(N * n_iters * N_p).
+
+A checkpoint stores parameters only. Training membership and every
+iteration's batch are redrawn from the sampling config's counter-based
+streams (`draw_indicators`), so the seed is their one source of truth.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from .data import Dataset
 from .errors import CapacityError, ConfigurationError, DivergenceError, ShapeError
 from .geometry import GradientSet, GramMode, SpectrumHealth, diagonal_scores, loo_scores
 from .models import ModelSpec, gradient_all, init_params
-from .sampling import IndicatorDraw, SamplingConfig, draw_indicators
+from .sampling import SamplingConfig, draw_indicators, train_indicator
 
-TRAJECTORY_FORMAT_VERSION = 2
+TRAJECTORY_FORMAT_VERSION = 3
 
 
 class AuditCadence(enum.Enum):
@@ -46,12 +50,14 @@ class AuditCadence(enum.Enum):
 
 @dataclass(frozen=True)
 class TrainingTrajectory:
-    """Everything needed to replay or audit one training run."""
+    """Everything needed to replay or audit one training run.
+
+    Batches are not stored: draw_indicators(cfg, i) regenerates iteration i's.
+    """
 
     cfg: SamplingConfig
     model: ModelSpec
     params_per_iter: np.ndarray  # (n_iters + 1, n_params); row i is theta_i
-    batch_log: tuple[IndicatorDraw, ...]
     dataset_sha256: str  # Dataset.sha256 of the rows it was trained on
 
     def __post_init__(self) -> None:
@@ -60,10 +66,6 @@ class TrainingTrajectory:
             raise ShapeError(
                 f"params_per_iter shape {self.params_per_iter.shape} != {expected}"
             )
-        if len(self.batch_log) != self.cfg.n_iters:
-            raise ShapeError(
-                f"batch log has {len(self.batch_log)} entries for {self.cfg.n_iters} iterations"
-            )
 
     @property
     def final_params(self) -> np.ndarray:
@@ -71,7 +73,7 @@ class TrainingTrajectory:
 
     @property
     def train_indicator(self) -> np.ndarray:
-        return self.batch_log[0].t
+        return train_indicator(self.cfg)
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,9 @@ class AuditRecord:
     leakage of values[r, j]; total_bits[j] sums column j; the fields of fano
     (fano_entropy_bits, pe_lower, vacuous) are per example like total_bits;
     prior_entropy_bits is the one prior every example shares.
-    batch_sources maps an audited iteration to the iteration whose realized
-    batch fed a batch-restricted mode. fallbacks maps an audited iteration to
-    how many exact scores there were recomputed from their own factorization,
-    by FallbackReason value; iterations without fallbacks are absent.
+    fallbacks maps an audited iteration to how many exact scores there were
+    recomputed from their own factorization, by FallbackReason value;
+    iterations without fallbacks are absent.
     spectra maps each iteration an exact mode audited to the health of the
     Gram matrix it factored.
     """
@@ -102,7 +103,6 @@ class AuditRecord:
     per_iteration_bits: np.ndarray
     total_bits: np.ndarray
     fano: FanoBound
-    batch_sources: dict[int, int]
     tol: float
     fallbacks: dict[int, dict[str, int]] = field(default_factory=dict)
     spectra: dict[int, SpectrumHealth] = field(default_factory=dict)
@@ -137,10 +137,8 @@ def train(cfg: SamplingConfig, model: ModelSpec, data: Dataset) -> TrainingTraje
     params = init_params(model, cfg.seed)
     trajectory = np.empty((cfg.n_iters + 1, model.n_params))
     trajectory[0] = params
-    batch_log: list[IndicatorDraw] = []
     for i in range(cfg.n_iters):
-        draw = draw_indicators(cfg, i)
-        members = draw.batch_indices
+        members = draw_indicators(cfg, i).batch_indices
         # Overflow on the way to divergence is expected and raised, not warned.
         with np.errstate(over="ignore", invalid="ignore"):
             if members.size:
@@ -156,12 +154,10 @@ def train(cfg: SamplingConfig, model: ModelSpec, data: Dataset) -> TrainingTraje
         if not np.all(np.isfinite(params)):
             raise DivergenceError(f"non-finite parameters after iteration {i}", iteration=i)
         trajectory[i + 1] = params
-        batch_log.append(draw)
     return TrainingTrajectory(
         cfg=cfg,
         model=model,
         params_per_iter=trajectory,
-        batch_log=tuple(batch_log),
         dataset_sha256=data.sha256,
     )
 
@@ -196,9 +192,9 @@ def audit(
 
     Exact modes score with `loo_scores`, diagonal modes with
     `diagonal_scores`. The basis rows are the whole pool for FULL_EXACT and
-    DIAGONAL. Batch-restricted modes use the batch realized at the audited
-    iteration; the final state, where no batch was drawn, reuses the last
-    executed iteration's batch (recorded in batch_sources).
+    DIAGONAL. Batch-restricted modes redraw the batch realized at the audited
+    iteration from the sampling seed; the final state, where no batch was
+    drawn, reuses the last executed iteration's batch.
     """
     if len(data) != traj.cfg.n_total:
         raise ConfigurationError(
@@ -214,7 +210,6 @@ def audit(
     n = traj.cfg.n_total
     values = np.zeros((len(iters), n))
     range_ok = np.zeros((len(iters), n), dtype=bool)
-    batch_sources: dict[int, int] = {}
     fallbacks: dict[int, dict[str, int]] = {}
     spectra: dict[int, SpectrumHealth] = {}
     batched = mode in (GramMode.BATCH_EXACT, GramMode.BATCH_DIAGONAL)
@@ -226,8 +221,7 @@ def audit(
         ).vectors
         members = np.arange(n)
         if batched:
-            batch_sources[i] = min(i, traj.cfg.n_iters - 1)
-            members = traj.batch_log[batch_sources[i]].batch_indices
+            members = draw_indicators(traj.cfg, min(i, traj.cfg.n_iters - 1)).batch_indices
             if members.size == 0:
                 # Degenerate empty batch: nothing spans anything; flag, don't fail.
                 continue
@@ -252,19 +246,10 @@ def audit(
         per_iteration_bits=bits,
         total_bits=total,
         fano=fano,
-        batch_sources=batch_sources,
         tol=tol,
         fallbacks=fallbacks,
         spectra=spectra,
     )
-
-
-def _bits_to_str(bits: np.ndarray) -> str:
-    return "".join("1" if b else "0" for b in bits)
-
-
-def _str_to_bits(s: str) -> np.ndarray:
-    return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
 
 
 def save_trajectory(path: str | Path, traj: TrainingTrajectory) -> None:
@@ -274,14 +259,13 @@ def save_trajectory(path: str | Path, traj: TrainingTrajectory) -> None:
         "sampling": traj.cfg.to_json_dict(),
         "model": traj.model.to_json_dict(),
         "params_per_iter": [[float(v) for v in row] for row in traj.params_per_iter],
-        "train_indicator": _bits_to_str(traj.train_indicator),
-        "batch_indicators": [_bits_to_str(d.m) for d in traj.batch_log],
         "dataset_sha256": traj.dataset_sha256,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_trajectory(path: str | Path) -> TrainingTrajectory:
+    """Read a checkpoint written by save_trajectory; malformed files raise ConfigurationError."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"trajectory file not found: {path}")
@@ -289,22 +273,19 @@ def load_trajectory(path: str | Path) -> TrainingTrajectory:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"{path}: checkpoint root must be a JSON object")
     version = payload.get("format_version")
     if version != TRAJECTORY_FORMAT_VERSION:
         raise ConfigurationError(
             f"{path}: unsupported trajectory format_version {version!r}"
         )
-    cfg = SamplingConfig.from_json_dict(payload["sampling"])
-    model = ModelSpec.from_json_dict(payload["model"])
-    t = _str_to_bits(payload["train_indicator"]).astype(np.uint8)
-    batch_log = tuple(
-        IndicatorDraw(t=t, m=_str_to_bits(m).astype(np.uint8))
-        for m in payload["batch_indicators"]
-    )
-    return TrainingTrajectory(
-        cfg=cfg,
-        model=model,
-        params_per_iter=np.array(payload["params_per_iter"], dtype=np.float64),
-        batch_log=batch_log,
-        dataset_sha256=payload["dataset_sha256"],
-    )
+    try:
+        return TrainingTrajectory(
+            cfg=SamplingConfig.from_json_dict(payload["sampling"]),
+            model=ModelSpec.from_json_dict(payload["model"]),
+            params_per_iter=np.array(payload["params_per_iter"], dtype=np.float64),
+            dataset_sha256=payload["dataset_sha256"],
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigurationError(f"{path}: malformed checkpoint: {exc!r}") from exc

@@ -36,7 +36,6 @@ def fake_record(gnq):
         per_iteration_bits=np.zeros((1, gnq.size)),
         total_bits=np.zeros(gnq.size),
         fano=fano_error_bound(1.0, np.zeros(gnq.size)),
-        batch_sources={},
         tol=1e-10,
     )
 

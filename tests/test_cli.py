@@ -271,12 +271,20 @@ def test_oracle_passes_and_reports(tmp_path):
 
 
 def test_oracle_corruption_exits_5_and_names_the_formula(tmp_path, capsys):
-    cfgp = write_config(tmp_path, {"oracle": {"seed": 0}, "output_dir": str(tmp_path / "bad")})
-    assert main(["oracle", "--config", cfgp, "--corrupt", "kappa"]) == 5
+    cfgp = write_config(
+        tmp_path, {"oracle": {"seed": 0, "corrupt": "kappa"}, "output_dir": str(tmp_path / "bad")}
+    )
+    assert main(["oracle", "--config", cfgp]) == 5
     err = capsys.readouterr().err
     assert "kappa" in err
     report = json.loads((tmp_path / "bad" / "oracle_report.json").read_text())
     assert report["passed"] is False
+    assert report["config"]["oracle"]["corrupt"] == "kappa"
+
+
+def test_oracle_corrupt_flag_is_gone():
+    with pytest.raises(SystemExit):
+        main(["oracle", "--config", "c.json", "--corrupt", "kappa"])
 
 
 def test_oracle_enumeration_capacity_exits_3(tmp_path):
@@ -388,3 +396,80 @@ def test_checkpoint_config_mismatch_exits_2(tmp_path, capsys):
         assert main([command, "--config", swapped_cfg, "--trajectory", blob_traj]) == 2
         assert "different dataset" in capsys.readouterr().err
     assert main(["audit", "--config", logistic, "--trajectory", blob_traj]) == 0
+
+
+def _set(section, key, value):
+    def edit(payload):
+        payload.setdefault(section, {})[key] = value
+        return payload
+
+    return edit
+
+
+def _string_in_params(payload):
+    payload["params_per_iter"][3][1] = "x"
+    return payload
+
+
+@pytest.mark.parametrize(
+    "edit_config, edit_checkpoint",
+    [
+        pytest.param(lambda c: {**c, "dataset": {"kind": "csv"}}, None, id="csv-without-path"),
+        pytest.param(lambda c: {**c, "dataset": {"kind": "blobs"}}, None, id="blobs-without-sizes"),
+        pytest.param(_set("attack", "n_bins", "x"), None, id="attack.n_bins"),
+        pytest.param(_set("oracle", "seed", "abc"), None, id="oracle.seed"),
+        pytest.param(_set("sampling", "n_total", "x"), None, id="sampling.n_total"),
+        pytest.param(_set("model", "input_dim", "q"), None, id="model.input_dim"),
+        pytest.param(_set("defense", "p", "zz"), None, id="defense.p"),
+        pytest.param(_set("bound", "gnq", 5), None, id="bound.gnq"),
+        pytest.param(
+            None, lambda t: {k: v for k, v in t.items() if k != "dataset_sha256"}, id="checkpoint-without-sha"
+        ),
+        pytest.param(None, _string_in_params, id="checkpoint-string-param"),
+        pytest.param(None, lambda t: [t], id="checkpoint-list"),
+    ],
+)
+def test_malformed_values_exit_2(tmp_path, capsys, edit_config, edit_checkpoint):
+    cfgp = outlier_audit_config(tmp_path)
+    argv = ["audit", "--config", cfgp]
+    if edit_config is not None:
+        write_config(tmp_path, edit_config(json.loads(Path(cfgp).read_text())))
+    if edit_checkpoint is not None:
+        assert main(["train", "--config", cfgp]) == 0
+        ckpt = tmp_path / "run" / "trajectory.json"
+        ckpt.write_text(json.dumps(edit_checkpoint(json.loads(ckpt.read_text()))))
+        argv += ["--trajectory", str(ckpt)]
+        capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_older_checkpoint_format_exits_2_and_names_the_version(tmp_path, capsys):
+    cfgp = outlier_audit_config(tmp_path)
+    assert main(["train", "--config", cfgp]) == 0
+    ckpt = tmp_path / "run" / "trajectory.json"
+    payload = json.loads(ckpt.read_text())
+    payload["format_version"] = 2
+    ckpt.write_text(json.dumps(payload))
+    assert main(["audit", "--config", cfgp, "--trajectory", str(ckpt)]) == 2
+    assert "format_version 2" in capsys.readouterr().err
+
+
+def test_reloaded_checkpoint_writes_the_fresh_train_bytes(tmp_path):
+    # Batch-restricted audits and the attack read membership and batches,
+    # which come from the sampling seed whether or not a checkpoint is given.
+    cfgp = blob_config(
+        tmp_path, class_sizes=(30, 30), extra={"audit": {"mode": "batch_exact", "cadence": "every_iteration"}}
+    )
+    out = tmp_path / "run"
+    artifacts = ("audit_report.json", "scores.csv", "attack_report.json", "attack.csv")
+    assert main(["audit", "--config", cfgp]) == 0
+    assert main(["attack", "--config", cfgp]) == 0
+    fresh = {name: (out / name).read_bytes() for name in artifacts}
+    assert main(["train", "--config", cfgp]) == 0
+    ckpt = str(out / "trajectory.json")
+    for name in artifacts:
+        (out / name).unlink()
+    assert main(["audit", "--config", cfgp, "--trajectory", ckpt]) == 0
+    assert main(["attack", "--config", cfgp, "--trajectory", ckpt]) == 0
+    assert {name: (out / name).read_bytes() for name in artifacts} == fresh

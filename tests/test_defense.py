@@ -40,7 +40,6 @@ def fake_record(gnq):
         per_iteration_bits=np.zeros((1, len(gnq))),
         total_bits=np.zeros(len(gnq)),
         fano=fano_error_bound(1.0, np.zeros(len(gnq))),
-        batch_sources={},
         tol=1e-10,
     )
 

@@ -21,7 +21,7 @@ from gnqaudit import (
 from gnqaudit.geometry import FallbackReason, downdate_guard, pdet_and_rank
 from gnqaudit.defense import split_pool
 from gnqaudit.models import ModelSpec, gradient_all, init_params
-from gnqaudit.sampling import SamplingConfig
+from gnqaudit.sampling import SamplingConfig, draw_indicators
 from gnqaudit.training import train
 from oracles import ref_gnq, ref_in_range, ref_kept_count, ref_pdet
 
@@ -286,7 +286,7 @@ def test_member_row_the_factorization_does_not_resolve_falls_back():
     cfg = SamplingConfig(400, 200, 25, 400, 1.0, seed=2)
     pool, _ = split_pool(make_blobs([250, 250], 16, 2.5, 1.75, seed=102), cfg)
     traj = train(cfg, spec, pool)
-    members = traj.batch_log[368].batch_indices
+    members = draw_indicators(cfg, 368).batch_indices
     g = gradient_all(spec, traj.params_per_iter[368], pool.features[members], pool.targets[members])
     values, range_ok, reasons = loo(g)
     assert reasons[22] == OUT_OF_RANGE

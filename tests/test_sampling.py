@@ -14,6 +14,7 @@ from gnqaudit import (
     enumerate_exact_moments,
     indicator_moments,
 )
+from gnqaudit.sampling import train_indicator
 from oracles import enum_indicator_moments
 
 WOR = SamplingScheme.WITHOUT_REPLACEMENT
@@ -83,6 +84,15 @@ def test_draws_deterministic_per_key():
     c = draw_indicators(cfg_of(30, 12, 5, seed=43), 7)
     assert np.array_equal(a.t, b.t) and np.array_equal(a.m, b.m)
     assert not (np.array_equal(a.t, c.t) and np.array_equal(a.m, c.m))
+
+
+def test_training_draw_is_shared_and_read_only():
+    cfg = cfg_of(30, 12, 5, BER, seed=42)
+    a, b = draw_indicators(cfg, 0), draw_indicators(cfg, 5)
+    assert a.t is b.t
+    with pytest.raises(ValueError):
+        a.t[0] = 1 - a.t[0]
+    assert np.array_equal(a.t, train_indicator.__wrapped__(cfg))
 
 
 def test_draws_independent_of_call_order():

@@ -1,5 +1,7 @@
 """Trainer and audit loop: updates, replay, cadences, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from gnqaudit import (
     save_trajectory,
     train,
 )
+from gnqaudit.sampling import draw_indicators
 from gnqaudit.training import AuditCadence, audit, audited_iterations
 
 LIN = ModelSpec(kind=ModelKind.LINEAR2D, input_dim=1)
@@ -65,8 +68,8 @@ def test_replay_from_batch_log_reproduces_every_step():
     ds = lin_data(6)
     cfg = cfg_of(6, 3, 2, 5, seed=9)
     traj = train(cfg, LIN, ds)
-    for i, draw in enumerate(traj.batch_log):
-        idx = np.flatnonzero(draw.m)
+    for i in range(cfg.n_iters):
+        idx = np.flatnonzero(draw_indicators(cfg, i).m)
         g = gradient_all(LIN, traj.params_per_iter[i], ds.features[idx], ds.targets[idx])
         step = traj.params_per_iter[i] - (cfg.learning_rate / cfg.batch_size) * g.sum(axis=0)
         assert np.allclose(step, traj.params_per_iter[i + 1], rtol=1e-12, atol=1e-15)
@@ -75,7 +78,7 @@ def test_replay_from_batch_log_reproduces_every_step():
 def test_empty_bernoulli_batch_leaves_params_unchanged():
     ds = lin_data(6)
     traj = train(cfg_of(6, 3, 2, 40, seed=5, scheme=SamplingScheme.INDEPENDENT_BERNOULLI), LIN, ds)
-    empties = [i for i, d in enumerate(traj.batch_log) if d.m.sum() == 0]
+    empties = [i for i in range(traj.cfg.n_iters) if draw_indicators(traj.cfg, i).m.sum() == 0]
     assert empties, "seed chosen to include an empty draw"
     for i in empties:
         assert np.array_equal(traj.params_per_iter[i], traj.params_per_iter[i + 1])
@@ -95,7 +98,8 @@ def test_membership_only_training_rows_enter_batches():
     ds = lin_data(10)
     traj = train(cfg_of(10, 4, 2, 30, seed=7), LIN, ds)
     t = traj.train_indicator
-    for draw in traj.batch_log:
+    for i in range(traj.cfg.n_iters):
+        draw = draw_indicators(traj.cfg, i)
         assert np.all(draw.m <= draw.t)
         assert np.array_equal(draw.t, t)
 
@@ -186,7 +190,7 @@ def _small_mlp_run():
 def _basis_rows(traj, rec, it):
     """All rows, or the batch realized at it (the last one for the final state)."""
     if rec.mode in (GramMode.BATCH_EXACT, GramMode.BATCH_DIAGONAL):
-        return traj.batch_log[min(it, traj.cfg.n_iters - 1)].batch_indices
+        return draw_indicators(traj.cfg, min(it, traj.cfg.n_iters - 1)).batch_indices
     return np.arange(traj.cfg.n_total)
 
 
@@ -262,10 +266,19 @@ def test_trajectory_round_trip(tmp_path):
     assert back.model == traj.model
     assert back.dataset_sha256 == traj.dataset_sha256 == ds.sha256
     assert all(np.array_equal(a, b) for a, b in zip(back.params_per_iter, traj.params_per_iter))
-    assert all(
-        np.array_equal(a.t, b.t) and np.array_equal(a.m, b.m)
-        for a, b in zip(back.batch_log, traj.batch_log)
-    )
+    for i in range(traj.cfg.n_iters):
+        a, b = draw_indicators(back.cfg, i), draw_indicators(traj.cfg, i)
+        assert np.array_equal(a.t, b.t) and np.array_equal(a.m, b.m)
+
+
+def test_checkpoint_stores_no_indicators(tmp_path):
+    ds = lin_data(6)
+    traj = train(cfg_of(6, 3, 2, 5, seed=11), LIN, ds)
+    path = tmp_path / "traj.json"
+    save_trajectory(path, traj)
+    payload = json.loads(path.read_text())
+    assert set(payload) == {"format_version", "sampling", "model", "params_per_iter", "dataset_sha256"}
+    assert payload["format_version"] == 3
 
 
 def test_saved_trajectory_bytes_are_stable(tmp_path):
