@@ -6,7 +6,9 @@ The threshold is the oracle choice maximizing balanced accuracy on the
 labeled evaluation set, which overstates a realistic attacker and is
 therefore conservative for validating the bound. AUC is the Mann-Whitney
 statistic computed from tie-averaged ranks, so identical scores contribute
-half credit and a constant scorer sits at exactly 0.5.
+half credit and a constant scorer sits at exactly 0.5. Ranks and Spearman's
+rho are computed in numpy alone, since every CLI command is a fresh process
+and loading a statistics library would dominate its start-up.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .data import Dataset
 from .errors import ConfigurationError
@@ -54,6 +55,34 @@ class BinnedCurve:
         return int(self.zero_count + self.bin_counts.sum())
 
 
+def rankdata(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their positions.
+
+    If any entry is NaN, every rank is NaN.
+    """
+    x = np.asarray(x)
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], y[:-1] != y[1:])))
+    counts = np.diff(starts, append=y.size)
+    ranks = np.empty(y.size)
+    ranks[order] = np.repeat(starts + 1.0 + (counts - 1) / 2.0, counts)
+    if np.isnan(x).any():
+        ranks[:] = np.nan
+    return ranks
+
+
+def spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: Pearson's correlation of the tie-averaged ranks.
+
+    NaN when x or y is constant or holds a NaN.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return float("nan")
+    return float(np.corrcoef(rankdata(x), rankdata(y))[1, 0])
+
+
 def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC with average ranks for ties."""
     labels = np.asarray(labels, dtype=bool)
@@ -61,7 +90,7 @@ def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ConfigurationError("AUC undefined: need both members and non-members")
-    ranks = stats.rankdata(scores)
+    ranks = rankdata(scores)
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -133,12 +162,12 @@ def success_vs_gnq(attack: AttackResult, audit: AuditRecord, n_bins: int) -> Bin
     sums = np.bincount(which, weights=success[~zero], minlength=n_bins)
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    rho = stats.spearmanr(gnq, success).statistic
+    rho = spearman(gnq, success)
     return BinnedCurve(
         zero_count=int(zero.sum()),
         zero_mean_success=float(success[zero].mean()) if zero.any() else float("nan"),
         bin_edges=edges,
         bin_counts=counts,
         bin_mean_success=means,
-        spearman=float(rho) if np.isfinite(rho) else 0.0,
+        spearman=rho if np.isfinite(rho) else 0.0,
     )

@@ -227,11 +227,12 @@ def _secular_root(
 
 
 def downdate_guard(
-    w: np.ndarray, v: np.ndarray, rows: np.ndarray, tol: float
+    w: np.ndarray, rows: np.ndarray, projected: tuple, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SpectrumHealth]:
     """Leave-one-out scores of rows against S = rows^T rows = V diag(w) V^T.
 
-    w and v are the full eigendecomposition of S (ascending). Returns
+    w and V are the full eigendecomposition of S (ascending), and projected
+    is `project_rows(w, V, rows, tol)`. Returns
     (values, range_ok, reasons, health): where reasons[j] is "", values[j]
     and range_ok[j] equal the truncated pseudoinverse score and range flag
     against S - g_j g_j^T (see the module docstring). Elsewhere they are
@@ -239,7 +240,7 @@ def downdate_guard(
     own factorization. health describes S's spectrum.
     """
     n_rows, dim = rows.shape
-    lam_max, keep, z2, q, resid_sq = project_rows(w, v, rows, tol)
+    lam_max, keep, z2, q, resid_sq = projected
     cutoff = tol * lam_max
     level = dim * _EPS * lam_max
     null = ~keep & (w <= level)
@@ -386,9 +387,15 @@ def loo_scores(
         raise ConfigurationError(f"tol must be positive, got {tol}")
     basis = vectors[members]
     w, v = np.linalg.eigh(basis.T @ basis)
-    lam_max, _, _, values, resid_sq = project_rows(w, v, vectors, tol)
+    lam_max, keep, z2, values, resid_sq = project_rows(w, v, vectors, tol)
     range_ok = resid_sq <= tol * lam_max
-    member_values, member_ok, member_reasons, health = downdate_guard(w, v, basis, tol)
+    if members.size == vectors.shape[0]:
+        projected = (lam_max, keep, z2[members], values[members], resid_sq[members])
+    else:
+        # A product over a subset of the rows can round differently from the
+        # same rows inside the whole product; the batch keeps its own.
+        projected = project_rows(w, v, basis, tol)
+    member_values, member_ok, member_reasons, health = downdate_guard(w, basis, projected, tol)
     values[members] = member_values
     range_ok[members] = member_ok
     reasons = np.full(vectors.shape[0], "", dtype=member_reasons.dtype)

@@ -86,15 +86,22 @@ def _write_rows(path: str | Path, header: list[str], rows) -> Path:
 
 
 def write_scores_csv(path: str | Path, record: AuditRecord) -> Path:
+    """One row per audited iteration and example.
+
+    Rows are formatted directly, not through csv.writer: no field (integers,
+    the mode name, float reprs, 0/1) ever needs quoting.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     mode = record.mode.value
-    rows = [
-        (it, ex, mode, repr(value), int(ok))
-        for it, values, flags in zip(
-            record.audited_iterations, record.values.tolist(), record.range_ok.tolist()
-        )
-        for ex, (value, ok) in enumerate(zip(values, flags))
-    ]
-    return _write_rows(path, ["iteration", "example_id", "mode", "gnq", "range_ok"], rows)
+    flags = record.range_ok.astype(np.uint8).tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("iteration,example_id,mode,gnq,range_ok\n")
+        for it, values, oks in zip(record.audited_iterations, record.values.tolist(), flags):
+            fh.write("".join(
+                [f"{it},{ex},{mode},{value!r},{ok}\n" for ex, (value, ok) in enumerate(zip(values, oks))]
+            ))
+    return path
 
 
 def write_gradients_csv(path: str | Path, per_iteration: dict[int, np.ndarray]) -> Path:

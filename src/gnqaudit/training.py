@@ -25,6 +25,7 @@ streams (`draw_indicators`), so the seed is their one source of truth.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -264,6 +265,22 @@ def save_trajectory(path: str | Path, traj: TrainingTrajectory) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _checkpoint_params(rows) -> np.ndarray:
+    """params_per_iter as a float64 array; every entry must be a finite JSON number.
+
+    np.array(..., dtype=np.float64) alone would also take "1.5", "nan" and
+    booleans.
+    """
+    odd = set(map(type, itertools.chain.from_iterable(rows))) - {int, float}
+    if odd:
+        names = ", ".join(sorted(kind.__name__ for kind in odd))
+        raise ValueError(f"params_per_iter holds non-numbers ({names})")
+    params = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(params)):
+        raise ValueError("params_per_iter holds a non-finite number")
+    return params
+
+
 def load_trajectory(path: str | Path) -> TrainingTrajectory:
     """Read a checkpoint written by save_trajectory; malformed files raise ConfigurationError."""
     path = Path(path)
@@ -284,8 +301,8 @@ def load_trajectory(path: str | Path) -> TrainingTrajectory:
         return TrainingTrajectory(
             cfg=SamplingConfig.from_json_dict(payload["sampling"]),
             model=ModelSpec.from_json_dict(payload["model"]),
-            params_per_iter=np.array(payload["params_per_iter"], dtype=np.float64),
+            params_per_iter=_checkpoint_params(payload["params_per_iter"]),
             dataset_sha256=payload["dataset_sha256"],
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ConfigurationError(f"{path}: malformed checkpoint: {exc!r}") from exc

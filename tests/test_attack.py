@@ -1,9 +1,12 @@
 """Loss-threshold attack and attack-vs-uniqueness evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from gnqaudit import (
     ConfigurationError,
@@ -17,7 +20,7 @@ from gnqaudit import (
     success_vs_gnq,
     train,
 )
-from gnqaudit.attack import AttackResult
+from gnqaudit.attack import AttackResult, rankdata, spearman
 from gnqaudit.bounds import fano_error_bound
 from gnqaudit.training import AuditCadence, AuditRecord
 from oracles import ref_auc
@@ -205,3 +208,64 @@ def test_curve_too_few_bins_rejected():
 def test_curve_shape_mismatch_rejected():
     with pytest.raises(ConfigurationError):
         success_vs_gnq(fake_attack([0, 1, 0]), fake_record([1.0, 2.0]), 2)
+
+
+# ranks and Spearman against scipy.stats -------------------------------------------
+
+# A few repeated values make ties common; n = 2 and constant lists come up too.
+_values = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(-1e6, 1e6))
+_columns = st.lists(_values, min_size=2, max_size=30)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(_values, st.floats()), min_size=1, max_size=30))
+@example([2.0, 1.0])
+@example([1.0, 1.0, 1.0])
+@example([0.5, float("nan"), 0.5])
+def test_rankdata_matches_scipy_bit_for_bit(vals):
+    x = np.asarray(vals)
+    expected = stats.rankdata(x)
+    got = rankdata(x)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def _scipy_spearman(x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on a constant input
+        return stats.spearmanr(x, y).statistic
+
+
+_pairs = _columns.flatmap(
+    lambda x: st.tuples(st.just(x), st.lists(_values, min_size=len(x), max_size=len(x)))
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_pairs)
+@example(([1.0, 2.0], [0.0, 1.0]))
+@example(([1.0, 2.0, 2.0], [1.0, 1.0, 1.0]))
+@example(([1.0, float("nan"), 2.0], [0.0, 1.0, 1.0]))
+def test_spearman_matches_scipy_bit_for_bit(pair):
+    x, y = (np.asarray(col) for col in pair)
+    assert _bits(spearman(x, y)) == _bits(_scipy_spearman(x, y))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(st.one_of(st.sampled_from([0.0, 0.25, 1.0, 4.0]), st.floats(1e-6, 1e6)), min_size=2, max_size=30),
+    st.integers(0, 2**32 - 1),
+)
+@example([1.0, 4.0], 0)
+@example([0.0, 1.0, 1.0, 4.0], 1)
+def test_curve_spearman_matches_scipy_bit_for_bit(gnq, seed):
+    gnq = np.asarray(gnq)
+    assume(np.unique(gnq[gnq > 0.0]).size >= 2)
+    success = np.random.default_rng(seed).integers(0, 2, size=gnq.size)
+    rho = _scipy_spearman(gnq, success.astype(np.float64))
+    curve = success_vs_gnq(fake_attack(success), fake_record(gnq), 2)
+    assert _bits(curve.spearman) == _bits(rho if np.isfinite(rho) else 0.0)

@@ -1,6 +1,9 @@
 """Command-line pipeline: every subcommand in-process, exit codes, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -259,6 +262,29 @@ def test_single_run_defense_report_still_needs_every_field(tmp_path):
         jsonschema.validate(report, SCHEMA)
 
 
+def test_attack_and_defend_never_import_scipy(tmp_path):
+    # Every subcommand runs in a fresh process, and importing scipy.stats
+    # costs several times the import of numpy: the program runs on numpy alone.
+    (tmp_path / "atk").mkdir()
+    (tmp_path / "def").mkdir()
+    attack = blob_config(tmp_path / "atk", class_sizes=(30, 30))
+    defend = blob_config(tmp_path / "def", extra={"defense": {"p": 0.1}})
+    code = (
+        "import sys\n"
+        "from gnqaudit.cli import main\n"
+        f"assert main(['attack', '--config', {attack!r}]) == 0\n"
+        f"assert main(['defend', '--config', {defend!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # oracle -----------------------------------------------------------------------------
 
 
@@ -406,9 +432,12 @@ def _set(section, key, value):
     return edit
 
 
-def _string_in_params(payload):
-    payload["params_per_iter"][3][1] = "x"
-    return payload
+def _param(value):
+    def edit(payload):
+        payload["params_per_iter"][3][1] = value
+        return payload
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -425,7 +454,14 @@ def _string_in_params(payload):
         pytest.param(
             None, lambda t: {k: v for k, v in t.items() if k != "dataset_sha256"}, id="checkpoint-without-sha"
         ),
-        pytest.param(None, _string_in_params, id="checkpoint-string-param"),
+        pytest.param(None, _param("x"), id="checkpoint-string-param"),
+        pytest.param(None, _param("1.5"), id="checkpoint-quoted-number"),
+        pytest.param(None, _param("nan"), id="checkpoint-quoted-nan"),
+        pytest.param(None, _param(True), id="checkpoint-boolean-param"),
+        pytest.param(None, _param(None), id="checkpoint-null-param"),
+        pytest.param(None, _param(float("nan")), id="checkpoint-nan-param"),
+        pytest.param(None, _param(float("inf")), id="checkpoint-infinite-param"),
+        pytest.param(None, _param(10**400), id="checkpoint-overflowing-param"),
         pytest.param(None, lambda t: [t], id="checkpoint-list"),
     ],
 )
@@ -441,7 +477,10 @@ def test_malformed_values_exit_2(tmp_path, capsys, edit_config, edit_checkpoint)
         argv += ["--trajectory", str(ckpt)]
         capsys.readouterr()
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if edit_checkpoint is not None:
+        assert "trajectory.json" in err  # refused on loading, not later
 
 
 def test_older_checkpoint_format_exits_2_and_names_the_version(tmp_path, capsys):

@@ -18,7 +18,7 @@ from gnqaudit import (
     make_blobs,
     pdet_rank_one,
 )
-from gnqaudit.geometry import FallbackReason, downdate_guard, pdet_and_rank
+from gnqaudit.geometry import FallbackReason, downdate_guard, pdet_and_rank, project_rows
 from gnqaudit.defense import split_pool
 from gnqaudit.models import ModelSpec, gradient_all, init_params
 from gnqaudit.sampling import SamplingConfig, draw_indicators
@@ -390,7 +390,8 @@ def test_residual_beyond_the_dropped_eigenvalues_falls_back():
     # the range check does not.
     rows = np.array([[1.0, 0.0], [0.0, 1e-3]])
     v = np.array([[0.0, 1.0], [1.0, 0.0]])  # e2 with eigenvalue 0, e1 with 1
-    _, _, reasons, _ = downdate_guard(np.array([0.0, 1.0]), v, rows, 1e-10)
+    w = np.array([0.0, 1.0])
+    _, _, reasons, _ = downdate_guard(w, rows, project_rows(w, v, rows, 1e-10), 1e-10)
     assert reasons.tolist() == [CROSSING, OUT_OF_RANGE]
 
 
