@@ -155,8 +155,11 @@ def success_vs_gnq(attack: AttackResult, audit: AuditRecord, n_bins: int) -> Bin
         raise ConfigurationError("degenerate binning: fewer than 2 distinct uniqueness values")
     zero = gnq == 0.0
     positive = gnq[~zero]
-    edges = np.geomspace(positive.min(), positive.max(), n_bins + 1)
-    edges[-1] = np.nextafter(edges[-1], np.inf)  # right-open bins must keep the max
+    lo, hi = positive.min(), positive.max()
+    # geomspace can round an interior edge past an endpoint when lo == hi,
+    # which would leave the edges out of order.
+    edges = np.clip(np.geomspace(lo, hi, n_bins + 1), lo, hi)
+    edges[-1] = np.nextafter(hi, np.inf)  # right-open bins must keep the max
     which = np.digitize(positive, edges) - 1
     counts = np.bincount(which, minlength=n_bins)
     sums = np.bincount(which, weights=success[~zero], minlength=n_bins)

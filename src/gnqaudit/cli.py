@@ -4,17 +4,23 @@ Subcommands: gen-data, train, audit, bound, attack, defend, oracle. Anything
 structural lives in the JSON config; flags cover only paths, seed override,
 and the gradient dump toggle, so one config file is the full provenance of a
 run; BLAS thread pools follow OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS. Every command writes its effective config back to the
-output directory and exits 0 on success, 2 on config errors, 3 on capacity
-errors, 4 on divergence, 5 on verification failure.
+MKL_NUM_THREADS. Every config value must have the JSON type the shipped
+config.schema.json gives it; an integer never accepts a float or a quoted
+number, and no value is coerced: anything else exits 2. Every command writes
+its effective config back to the output directory and exits 0 on success, 2
+on config errors, 3 on capacity errors, 4 on divergence, 5 on verification
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +61,13 @@ from .reports import (
     write_scores_csv,
     write_sweep_csv,
 )
-from .sampling import SamplingConfig, enumerate_exact_moments
+from .sampling import (
+    ConfigSection,
+    SamplingConfig,
+    enumerate_exact_moments,
+    json_value,
+    read_json_section,
+)
 from .training import AuditCadence, audit, load_trajectory, save_trajectory, train
 
 _TOP_KEYS = {
@@ -69,40 +81,54 @@ _TOP_KEYS = {
     "oracle",
     "output_dir",
 }
-_DATASET_KINDS = {
-    "outlier_regression": {"kind"},
-    "blobs": {"kind", "class_sizes", "input_dim", "center_distance", "spread", "seed"},
-    "linear": {"kind", "n", "slope", "intercept", "noise_scale", "x_low", "x_high", "seed"},
-    "csv": {"kind", "path", "target"},
+# Each dataset kind's builder and its keys' types and defaults (MISSING when
+# required), in the order of the builder's arguments.
+_DATASETS = {
+    "outlier_regression": (make_outlier_regression_dataset, {}),
+    "blobs": (
+        make_blobs,
+        {
+            "class_sizes": (list[int], MISSING),
+            "input_dim": (int, 2),
+            "center_distance": (float, 2.0),
+            "spread": (float, 1.0),
+            "seed": (int, 0),
+        },
+    ),
+    "linear": (
+        make_linear_dataset,
+        {
+            "n": (int, MISSING),
+            "slope": (float, 1.0),
+            "intercept": (float, 0.0),
+            "noise_scale": (float, 0.1),
+            "x_low": (float, 0.0),
+            "x_high": (float, 1.0),
+            "seed": (int, 0),
+        },
+    ),
+    "csv": (load_csv_dataset, {"path": (str, MISSING), "target": (str, "target")}),
 }
 
 
-def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) in {section}: {', '.join(sorted(unknown))}"
-        )
+def _seeded(section, seed_override: int | None):
+    """The section with --seed in place of its seed, when one was given."""
+    if seed_override is None or not isinstance(section, dict):
+        return section
+    return {**section, "seed": seed_override}
 
 
 @dataclasses.dataclass(frozen=True)
-class AuditSettings:
+class AuditSettings(ConfigSection):
+    section = "audit"
+
     mode: GramMode = GramMode.FULL_EXACT
     cadence: AuditCadence = AuditCadence.EVERY_EPOCH
     tol: float = DEFAULT_TOL
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AuditSettings":
-        _reject_unknown("audit", d, {"mode", "cadence", "tol"})
-        try:
-            mode = GramMode(d.get("mode", "full_exact"))
-            cadence = AuditCadence(d.get("cadence", "every_epoch"))
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from None
-        tol = float(d.get("tol", DEFAULT_TOL))
-        if not 0.0 < tol < 1.0:
-            raise ConfigurationError(f"audit tol must be in (0, 1), got {tol}")
-        return cls(mode=mode, cadence=cadence, tol=tol)
+    def __post_init__(self) -> None:
+        if not 0.0 < self.tol < 1.0:
+            raise ConfigurationError(f"audit tol must be in (0, 1), got {self.tol}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,6 +139,7 @@ class RunConfig:
     sampling: SamplingConfig | None
     model: ModelSpec | None
     dataset: dict | None
+    build_dataset: Callable[[], Dataset] | None
     audit: AuditSettings
     bound_gnq: tuple[float, ...]
     attack_bins: int
@@ -125,84 +152,71 @@ class RunConfig:
     def from_json_dict(cls, raw: dict, out_override: str | None, seed_override: int | None) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigurationError("config root must be a JSON object")
-        _reject_unknown("config", raw, _TOP_KEYS)
+        unknown = set(raw) - _TOP_KEYS
+        if unknown:
+            raise ConfigurationError(f"unknown key(s) in config: {', '.join(sorted(unknown))}")
 
-        sampling = None
+        sampling = model = dataset = build_dataset = defense_fractions = None
         if "sampling" in raw:
-            d = dict(raw["sampling"])
-            _reject_unknown(
-                "sampling",
-                d,
-                {"n_total", "n_train", "batch_size", "n_iters", "learning_rate", "scheme", "seed"},
-            )
-            if seed_override is not None:
-                d["seed"] = seed_override
-            sampling = SamplingConfig.from_json_dict(d)
-
-        model = None
+            sampling = SamplingConfig.from_json_dict(_seeded(raw["sampling"], seed_override))
         if "model" in raw:
-            _reject_unknown(
-                "model",
-                raw["model"],
-                {"kind", "input_dim", "hidden_dim", "n_classes", "init", "init_scale"},
-            )
             model = ModelSpec.from_json_dict(raw["model"])
 
-        dataset = None
         if "dataset" in raw:
-            dataset = dict(raw["dataset"])
-            kind = dataset.get("kind")
-            if kind not in _DATASET_KINDS:
+            dataset = raw["dataset"]
+            kind = dataset.get("kind") if isinstance(dataset, dict) else None
+            if kind not in _DATASETS:
                 raise ConfigurationError(
-                    f"dataset kind must be one of {sorted(_DATASET_KINDS)}, got {kind!r}"
+                    f"dataset kind must be one of {sorted(_DATASETS)}, got {kind!r}"
                 )
-            _reject_unknown(f"dataset[{kind}]", dataset, _DATASET_KINDS[kind])
-            if seed_override is not None and "seed" in _DATASET_KINDS[kind]:
-                dataset["seed"] = seed_override
+            builder, fields = _DATASETS[kind]
+            if "seed" in fields:
+                dataset = _seeded(dataset, seed_override)
+            given = {k: v for k, v in dataset.items() if k != "kind"}
+            args = read_json_section("dataset", given, fields)
+            build_dataset = functools.partial(builder, *args.values())
 
         audit_settings = AuditSettings.from_json_dict(raw.get("audit", {}))
 
-        bound_section = raw.get("bound", {})
-        _reject_unknown("bound", bound_section, {"gnq"})
-        bound_gnq = tuple(float(g) for g in bound_section.get("gnq", (0.1, 1.0, 10.0)))
-        if any(g < 0 or not np.isfinite(g) for g in bound_gnq):
-            raise ConfigurationError("bound.gnq values must be finite and >= 0")
+        bound_gnq = tuple(
+            read_json_section("bound", raw.get("bound", {}), {"gnq": (list[float], (0.1, 1.0, 10.0))})["gnq"]
+        )
+        if not bound_gnq or any(g < 0 or not np.isfinite(g) for g in bound_gnq):
+            raise ConfigurationError("bound.gnq needs one or more values, each finite and >= 0")
 
-        attack_section = raw.get("attack", {})
-        _reject_unknown("attack", attack_section, {"n_bins"})
-        attack_bins = int(attack_section.get("n_bins", 8))
+        attack_bins = read_json_section("attack", raw.get("attack", {}), {"n_bins": (int, 8)})["n_bins"]
         if attack_bins < 2:
             raise ConfigurationError(f"attack.n_bins must be >= 2, got {attack_bins}")
 
-        defense_fractions = None
         if "defense" in raw:
-            d = raw["defense"]
-            _reject_unknown("defense", d, {"p", "sweep"})
-            if ("p" in d) == ("sweep" in d):
+            d = read_json_section(
+                "defense", raw["defense"], {"p": (float, None), "sweep": (list[float], None)}
+            )
+            if (d["p"] is None) == (d["sweep"] is None):
                 raise ConfigurationError("defense section needs exactly one of p, sweep")
-            fracs = [d["p"]] if "p" in d else list(d["sweep"])
-            defense_fractions = tuple(float(f) for f in fracs)
+            defense_fractions = (d["p"],) if d["sweep"] is None else tuple(d["sweep"])
             if any(not 0.0 <= f < 1.0 for f in defense_fractions):
                 raise ConfigurationError("defense fractions must lie in [0, 1)")
 
-        oracle_section = raw.get("oracle", {})
-        _reject_unknown("oracle", oracle_section, {"seed", "corrupt"})
-        oracle_seed = int(oracle_section.get("seed", 0))
-        oracle_corrupt = oracle_section.get("corrupt")
-
-        out = Path(out_override if out_override is not None else raw.get("output_dir", "out"))
+        oracle = read_json_section(
+            "oracle", raw.get("oracle", {}), {"seed": (int, 0), "corrupt": (str | None, None)}
+        )
+        if oracle["seed"] < 0:
+            raise ConfigurationError(f"oracle.seed must be >= 0, got {oracle['seed']}")
+        out = out_override if out_override is not None else raw.get("output_dir", "out")
         return cls(
             raw=raw,
             sampling=sampling,
             model=model,
             dataset=dataset,
+            build_dataset=build_dataset,
             audit=audit_settings,
             bound_gnq=bound_gnq,
             attack_bins=attack_bins,
             defense_fractions=defense_fractions,
-            oracle_seed=oracle_seed,
-            oracle_corrupt=oracle_corrupt,
-            output_dir=out,
+            oracle_seed=oracle["seed"],
+            oracle_corrupt=oracle["corrupt"],
+            output_dir=Path(json_value("output_dir", out, str)),
         )
 
     def effective(self) -> dict:
@@ -243,31 +257,9 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
     cfg.require("dataset")
-    desc = cfg.dataset
     try:
-        kind = desc["kind"]
-        if kind == "outlier_regression":
-            return make_outlier_regression_dataset()
-        if kind == "blobs":
-            return make_blobs(
-                class_sizes=[int(c) for c in desc["class_sizes"]],
-                input_dim=int(desc.get("input_dim", 2)),
-                center_distance=float(desc.get("center_distance", 2.0)),
-                spread=float(desc.get("spread", 1.0)),
-                seed=int(desc.get("seed", 0)),
-            )
-        if kind == "linear":
-            return make_linear_dataset(
-                n_examples=int(desc["n"]),
-                slope=float(desc.get("slope", 1.0)),
-                intercept=float(desc.get("intercept", 0.0)),
-                noise_scale=float(desc.get("noise_scale", 0.1)),
-                x_low=float(desc.get("x_low", 0.0)),
-                x_high=float(desc.get("x_high", 1.0)),
-                seed=int(desc.get("seed", 0)),
-            )
-        return load_csv_dataset(desc["path"], desc.get("target", "target"))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        return cfg.build_dataset()
+    except ValueError as exc:  # numpy's seeding refuses a negative seed
         raise ConfigurationError(f"bad dataset section: {exc!r}") from exc
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .attack import AttackResult, loss_attack
 from .data import Dataset
 from .errors import ConfigurationError
-from .geometry import GramMode
+from .geometry import DEFAULT_TOL, GramMode
 from .models import ModelSpec, accuracy
 from .sampling import _SPLIT_TAG, SamplingConfig, stream
 from .training import AuditCadence, AuditRecord, audit, train
@@ -114,7 +114,7 @@ def run_defense_sweep(
     fractions: list[float],
     audit_mode: GramMode = GramMode.FULL_EXACT,
     cadence: AuditCadence = AuditCadence.EVERY_EPOCH,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> list[DefenseReport]:
     """Before/after comparisons at each removal fraction, in the given order.
 
@@ -152,7 +152,7 @@ def run_defense_sweep(
         survivor_after = float(filtered.record.fano.pe_lower.mean())
         reports.append(
             DefenseReport(
-                removed_fraction=p,
+                removed_fraction=float(p),
                 removed_ids=tuple(int(i) for i in removed),
                 auc_before=baseline.attack.auc,
                 auc_after=filtered.attack.auc,
@@ -176,7 +176,7 @@ def run_defense(
     p: float,
     audit_mode: GramMode = GramMode.FULL_EXACT,
     cadence: AuditCadence = AuditCadence.EVERY_EPOCH,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> DefenseReport:
     """Full before/after comparison at removal fraction p: a one-fraction sweep."""
     return run_defense_sweep(cfg, model, data, [p], audit_mode, cadence, tol)[0]

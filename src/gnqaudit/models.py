@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .sampling import _INIT_TAG, stream
+from .sampling import _INIT_TAG, ConfigSection, stream
 
 
 class ModelKind(enum.Enum):
@@ -36,7 +36,9 @@ class InitKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(ConfigSection):
+    section = "model"
+
     kind: ModelKind
     input_dim: int = 1
     hidden_dim: int = 0
@@ -76,32 +78,6 @@ class ModelSpec:
     @property
     def is_classifier(self) -> bool:
         return self.kind is not ModelKind.LINEAR2D
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "n_classes": self.n_classes,
-            "init": self.init.value,
-            "init_scale": self.init_scale,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ModelSpec":
-        try:
-            kind = ModelKind(obj["kind"])
-            init = InitKind(obj.get("init", "zeros"))
-        except (KeyError, ValueError) as exc:
-            raise ConfigurationError(f"bad model spec: {exc}") from exc
-        return cls(
-            kind=kind,
-            input_dim=int(obj.get("input_dim", 1)),
-            hidden_dim=int(obj.get("hidden_dim", 0)),
-            n_classes=int(obj.get("n_classes", 0)),
-            init=init,
-            init_scale=float(obj.get("init_scale", 0.1)),
-        )
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:

@@ -10,6 +10,7 @@ round-trip repr form, CSVs with LF newlines. Wall-clock metadata goes to a
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import enum
 import hashlib
@@ -225,17 +226,6 @@ def audit_health(record: AuditRecord) -> dict:
     }
 
 
-def _curve_dict(curve: BinnedCurve) -> dict:
-    return {
-        "zero_count": int(curve.zero_count),
-        "zero_mean_success": float(curve.zero_mean_success),
-        "bin_edges": [float(e) for e in curve.bin_edges],
-        "bin_counts": [int(c) for c in curve.bin_counts],
-        "bin_mean_success": [float(m) for m in curve.bin_mean_success],
-        "spearman": float(curve.spearman),
-    }
-
-
 def attack_report(attack: AttackResult, config: dict, curve: BinnedCurve | None = None) -> dict:
     payload = {
         "auc": float(attack.auc),
@@ -244,32 +234,13 @@ def attack_report(attack: AttackResult, config: dict, curve: BinnedCurve | None 
         "n_members": int(attack.membership.sum()),
     }
     if curve is not None:
-        payload["success_vs_gnq"] = _curve_dict(curve)
+        payload["success_vs_gnq"] = dataclasses.asdict(curve)
     return finalize_report("attack", payload, config)
 
 
 def defense_report(report: DefenseReport, config: dict) -> dict:
-    payload = {
-        "removed_fraction": float(report.removed_fraction),
-        "removed_ids": [int(i) for i in report.removed_ids],
-        "n_removed": len(report.removed_ids),
-        "n_train_after": int(report.n_train_after),
-        "auc_before": float(report.auc_before),
-        "auc_after": float(report.auc_after),
-        "test_accuracy_before": float(report.test_accuracy_before),
-        "test_accuracy_after": float(report.test_accuracy_after),
-        "bound_before": {
-            "pe_lower_min": float(report.bound_before.pe_lower_min),
-            "pe_lower_mean": float(report.bound_before.pe_lower_mean),
-        },
-        "bound_after": {
-            "pe_lower_min": float(report.bound_after.pe_lower_min),
-            "pe_lower_mean": float(report.bound_after.pe_lower_mean),
-        },
-        "survivor_pe_mean_before": float(report.survivor_pe_mean_before),
-        "survivor_pe_mean_after": float(report.survivor_pe_mean_after),
-        "survivor_bound_improved": bool(report.survivor_bound_improved),
-    }
+    payload = dataclasses.asdict(report)
+    payload["n_removed"] = len(report.removed_ids)
     return finalize_report("defense", payload, config)
 
 

@@ -30,9 +30,11 @@ joint indicator states; it is the oracle the formulas are tested against.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,8 +68,79 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
 
 
+def json_value(name: str, value, kind):
+    """value as a config field of type kind, with the JSON type config.schema.json gives it.
+
+    An int takes a JSON integer only, never a bool, a float or a quoted
+    number; a float takes any JSON number and stores it as a float; a str
+    takes a string; an Enum takes one of its value strings; list[kind] takes
+    an array of such values; str | None takes a string or null. Anything else
+    raises ConfigurationError naming the key.
+    """
+    if getattr(kind, "__origin__", None) is list:
+        if isinstance(value, list):
+            return [json_value(f"{name}[{i}]", v, kind.__args__[0]) for i, v in enumerate(value)]
+    elif isinstance(kind, type) and issubclass(kind, enum.Enum):
+        try:
+            return kind(value)
+        except (ValueError, TypeError):
+            values = ", ".join(member.value for member in kind)
+            raise ConfigurationError(f"{name} must be one of {values}, got {value!r}") from None
+    elif isinstance(value, bool):
+        pass
+    elif kind is float and isinstance(value, (int, float)):
+        return float(value)
+    elif isinstance(value, kind):
+        return value
+    raise ConfigurationError(
+        f"{name} must be {kind.__name__ if isinstance(kind, type) else kind}, got {value!r}"
+    )
+
+
+def read_json_section(section: str, obj, fields: dict) -> dict:
+    """One config section's values, checked against fields = {key: (type, default)}.
+
+    An absent key takes its default; one whose default is MISSING is required.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{section} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
+    values = {}
+    for key, (kind, default) in fields.items():
+        if key in obj:
+            values[key] = json_value(f"{section}.{key}", obj[key], kind)
+        elif default is MISSING:
+            raise ConfigurationError(f"{section} config missing key: {key}")
+        else:
+            values[key] = default
+    return values
+
+
+class ConfigSection:
+    """Reads and writes a frozen config dataclass as one section of the JSON config.
+
+    The dataclass is the section's only definition: its field names are the
+    keys, its field defaults the defaults and its field types the value types
+    (see json_value). A subclass names its section in `section`.
+    """
+
+    section = ""
+
+    @classmethod
+    def from_json_dict(cls, obj: dict):
+        hints = typing.get_type_hints(cls)
+        fields = {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
+        return cls(**read_json_section(cls.section, obj, fields))
+
+    def to_json_dict(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
+
+
 @dataclass(frozen=True)
-class SamplingConfig:
+class SamplingConfig(ConfigSection):
     """Sampling and optimization parameters; governs everything stochastic.
 
     Attributes:
@@ -79,6 +152,8 @@ class SamplingConfig:
         scheme: training-set sampling scheme.
         seed: base seed for every stream derived from this config.
     """
+
+    section = "sampling"
 
     n_total: int
     n_train: int
@@ -102,36 +177,6 @@ class SamplingConfig:
             )
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigurationError(f"seed must fit in u64, got {self.seed}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "n_train": self.n_train,
-            "batch_size": self.batch_size,
-            "n_iters": self.n_iters,
-            "learning_rate": self.learning_rate,
-            "scheme": self.scheme.value,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SamplingConfig":
-        try:
-            scheme = SamplingScheme(obj.get("scheme", "without_replacement"))
-        except ValueError as exc:
-            raise ConfigurationError(f"unknown sampling scheme: {obj.get('scheme')!r}") from exc
-        try:
-            return cls(
-                n_total=int(obj["n_total"]),
-                n_train=int(obj["n_train"]),
-                batch_size=int(obj["batch_size"]),
-                n_iters=int(obj["n_iters"]),
-                learning_rate=float(obj["learning_rate"]),
-                scheme=scheme,
-                seed=int(obj.get("seed", 0)),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"sampling config missing key: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -304,5 +304,7 @@ def load_trajectory(path: str | Path) -> TrainingTrajectory:
             params_per_iter=_checkpoint_params(payload["params_per_iter"]),
             dataset_sha256=payload["dataset_sha256"],
         )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ConfigurationError(f"{path}: malformed checkpoint: {exc!r}") from exc

@@ -12,9 +12,9 @@ import pytest
 
 from gnqaudit.cli import main
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "src" / "gnqaudit" / "schemas" / "report.schema.json").read_text()
-)
+SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "gnqaudit" / "schemas"
+SCHEMA = json.loads((SCHEMAS / "report.schema.json").read_text())
+CONFIG_SCHEMA = json.loads((SCHEMAS / "config.schema.json").read_text())
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -441,35 +441,67 @@ def _param(value):
 
 
 @pytest.mark.parametrize(
-    "edit_config, edit_checkpoint",
+    "edit_config, edit_checkpoint, names",
     [
-        pytest.param(lambda c: {**c, "dataset": {"kind": "csv"}}, None, id="csv-without-path"),
-        pytest.param(lambda c: {**c, "dataset": {"kind": "blobs"}}, None, id="blobs-without-sizes"),
-        pytest.param(_set("attack", "n_bins", "x"), None, id="attack.n_bins"),
-        pytest.param(_set("oracle", "seed", "abc"), None, id="oracle.seed"),
-        pytest.param(_set("sampling", "n_total", "x"), None, id="sampling.n_total"),
-        pytest.param(_set("model", "input_dim", "q"), None, id="model.input_dim"),
-        pytest.param(_set("defense", "p", "zz"), None, id="defense.p"),
-        pytest.param(_set("bound", "gnq", 5), None, id="bound.gnq"),
+        pytest.param(lambda c: {**c, "dataset": {"kind": "csv"}}, None, "path", id="csv-without-path"),
         pytest.param(
-            None, lambda t: {k: v for k, v in t.items() if k != "dataset_sha256"}, id="checkpoint-without-sha"
+            lambda c: {**c, "dataset": {"kind": "blobs"}}, None, "class_sizes", id="blobs-without-sizes"
         ),
-        pytest.param(None, _param("x"), id="checkpoint-string-param"),
-        pytest.param(None, _param("1.5"), id="checkpoint-quoted-number"),
-        pytest.param(None, _param("nan"), id="checkpoint-quoted-nan"),
-        pytest.param(None, _param(True), id="checkpoint-boolean-param"),
-        pytest.param(None, _param(None), id="checkpoint-null-param"),
-        pytest.param(None, _param(float("nan")), id="checkpoint-nan-param"),
-        pytest.param(None, _param(float("inf")), id="checkpoint-infinite-param"),
-        pytest.param(None, _param(10**400), id="checkpoint-overflowing-param"),
-        pytest.param(None, lambda t: [t], id="checkpoint-list"),
+        pytest.param(_set("attack", "n_bins", "x"), None, "attack.n_bins", id="attack.n_bins"),
+        pytest.param(_set("oracle", "seed", "abc"), None, "oracle.seed", id="oracle.seed"),
+        pytest.param(_set("sampling", "n_total", "x"), None, "sampling.n_total", id="sampling.n_total"),
+        pytest.param(_set("model", "input_dim", "q"), None, "model.input_dim", id="model.input_dim"),
+        pytest.param(_set("defense", "p", "zz"), None, "defense.p", id="defense.p"),
+        pytest.param(_set("bound", "gnq", 5), None, "bound.gnq", id="bound.gnq"),
+        # Ill-typed values the schema refuses: none may be coerced into a run.
+        pytest.param(_set("sampling", "n_iters", 12.7), None, "sampling.n_iters", id="float-n_iters"),
+        pytest.param(_set("sampling", "n_train", "30"), None, "sampling.n_train", id="quoted-n_train"),
+        pytest.param(
+            _set("sampling", "learning_rate", "0.5"), None, "sampling.learning_rate", id="quoted-learning_rate"
+        ),
+        pytest.param(_set("sampling", "seed", True), None, "sampling.seed", id="boolean-seed"),
+        pytest.param(_set("model", "input_dim", 4.2), None, "model.input_dim", id="float-input_dim"),
+        pytest.param(
+            lambda c: {**c, "dataset": {"kind": "blobs", "class_sizes": [30.8, 30.2]}},
+            None,
+            "dataset.class_sizes",
+            id="float-class_sizes",
+        ),
+        pytest.param(_set("attack", "n_bins", 2.5), None, "attack.n_bins", id="float-n_bins"),
+        pytest.param(_set("audit", "tol", "1e-10"), None, "audit.tol", id="quoted-tol"),
+        pytest.param(_set("oracle", "seed", 1.5), None, "oracle.seed", id="float-oracle-seed"),
+        pytest.param(_set("defense", "p", "0.1"), None, "defense.p", id="quoted-defense-p"),
+        pytest.param(_set("bound", "gnq", ["1"]), None, "bound.gnq", id="quoted-gnq"),
+        pytest.param(_set("bound", "gnq", []), None, "bound.gnq", id="empty-gnq"),
+        pytest.param(_set("oracle", "seed", -1), None, "oracle.seed", id="negative-oracle-seed"),
+        pytest.param(
+            None,
+            lambda t: {k: v for k, v in t.items() if k != "dataset_sha256"},
+            "dataset_sha256",
+            id="checkpoint-without-sha",
+        ),
+        pytest.param(None, _param("x"), None, id="checkpoint-string-param"),
+        pytest.param(None, _param("1.5"), None, id="checkpoint-quoted-number"),
+        pytest.param(None, _param("nan"), None, id="checkpoint-quoted-nan"),
+        pytest.param(None, _param(True), None, id="checkpoint-boolean-param"),
+        pytest.param(None, _param(None), None, id="checkpoint-null-param"),
+        pytest.param(None, _param(float("nan")), None, id="checkpoint-nan-param"),
+        pytest.param(None, _param(float("inf")), None, id="checkpoint-infinite-param"),
+        pytest.param(None, _param(10**400), None, id="checkpoint-overflowing-param"),
+        pytest.param(None, lambda t: [t], None, id="checkpoint-list"),
+        # The checkpoint's sections go through the config reader too.
+        pytest.param(None, _set("sampling", "n_iters", 25.0), "sampling.n_iters", id="checkpoint-float-n_iters"),
+        pytest.param(None, _set("model", "depth", 3), "model: depth", id="checkpoint-unknown-model-key"),
     ],
 )
-def test_malformed_values_exit_2(tmp_path, capsys, edit_config, edit_checkpoint):
+def test_malformed_values_exit_2(tmp_path, capsys, edit_config, edit_checkpoint, names):
     cfgp = outlier_audit_config(tmp_path)
     argv = ["audit", "--config", cfgp]
     if edit_config is not None:
-        write_config(tmp_path, edit_config(json.loads(Path(cfgp).read_text())))
+        edited = edit_config(json.loads(Path(cfgp).read_text()))
+        with pytest.raises(jsonschema.ValidationError):  # the shipped schema agrees
+            jsonschema.validate(edited, CONFIG_SCHEMA)
+        write_config(tmp_path, edited)
     if edit_checkpoint is not None:
         assert main(["train", "--config", cfgp]) == 0
         ckpt = tmp_path / "run" / "trajectory.json"
@@ -481,6 +513,8 @@ def test_malformed_values_exit_2(tmp_path, capsys, edit_config, edit_checkpoint)
     assert err.startswith("error: ")
     if edit_checkpoint is not None:
         assert "trajectory.json" in err  # refused on loading, not later
+    if names is not None:
+        assert names in err
 
 
 def test_older_checkpoint_format_exits_2_and_names_the_version(tmp_path, capsys):

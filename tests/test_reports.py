@@ -1,6 +1,9 @@
 """Report serialization: canonical form, hashing, schema conformance, CSV writers."""
 
+import dataclasses
+import enum
 import json
+import typing
 from pathlib import Path
 
 import jsonschema
@@ -19,6 +22,7 @@ from gnqaudit import (
     success_vs_gnq,
     train,
 )
+from gnqaudit.cli import _DATASETS, AuditSettings
 from gnqaudit.defense import rank_examples, run_defense, run_defense_sweep
 from gnqaudit.oracle import run_oracle_checks
 from gnqaudit.reports import (
@@ -176,6 +180,30 @@ def test_config_schema_matches_sampling_fields():
     bad = dict(ok, sampling={**ok["sampling"], "learning_rate": 0})
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(bad, CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "section, cls", [("sampling", SamplingConfig), ("model", ModelSpec), ("audit", AuditSettings)]
+)
+def test_config_schema_sections_are_the_dataclass_fields(section, cls):
+    # The dataclass is the program's only definition of its section; the
+    # shipped schema must name the same keys with the same JSON types.
+    props = CONFIG_SCHEMA["properties"][section]["properties"]
+    hints = typing.get_type_hints(cls)
+    assert set(props) == {f.name for f in dataclasses.fields(cls)}
+    for name, kind in hints.items():
+        if isinstance(kind, type) and issubclass(kind, enum.Enum):
+            assert props[name]["enum"] == [m.value for m in kind], name
+        else:
+            assert props[name]["type"] == {int: "integer", float: "number"}[kind], name
+
+
+def test_config_schema_dataset_kinds_are_the_builder_table():
+    kinds = {
+        variant["properties"]["kind"]["const"]: set(variant["properties"]) - {"kind"}
+        for variant in CONFIG_SCHEMA["properties"]["dataset"]["oneOf"]
+    }
+    assert kinds == {kind: set(fields) for kind, (_, fields) in _DATASETS.items()}
 
 
 # determinism of written artifacts -----------------------------------------------------
