@@ -78,7 +78,6 @@ from .oracle import (
     enumerate_covariances,
     exact_discrete_mi,
     gaussian_leakage_from_covariances,
-    monte_carlo_covariances,
     run_oracle_checks,
 )
 from .sampling import (

@@ -81,30 +81,31 @@ _TOP_KEYS = {
     "oracle",
     "output_dir",
 }
-# Each dataset kind's builder and its keys' types and defaults (MISSING when
-# required), in the order of the builder's arguments.
+# Each dataset kind's builder and its keys' types, defaults (MISSING when
+# required) and config.schema.json's limits, in the order of the builder's
+# arguments.
 _DATASETS = {
     "outlier_regression": (make_outlier_regression_dataset, {}),
     "blobs": (
         make_blobs,
         {
-            "class_sizes": (list[int], MISSING),
-            "input_dim": (int, 2),
-            "center_distance": (float, 2.0),
-            "spread": (float, 1.0),
-            "seed": (int, 0),
+            "class_sizes": (list[int], MISSING, {"minimum": 1, "minItems": 2}),
+            "input_dim": (int, 2, {"minimum": 1}),
+            "center_distance": (float, 2.0, {"exclusiveMinimum": 0}),
+            "spread": (float, 1.0, {"exclusiveMinimum": 0}),
+            "seed": (int, 0, {"minimum": 0}),
         },
     ),
     "linear": (
         make_linear_dataset,
         {
-            "n": (int, MISSING),
+            "n": (int, MISSING, {"minimum": 2}),
             "slope": (float, 1.0),
             "intercept": (float, 0.0),
-            "noise_scale": (float, 0.1),
+            "noise_scale": (float, 0.1, {"minimum": 0}),
             "x_low": (float, 0.0),
             "x_high": (float, 1.0),
-            "seed": (int, 0),
+            "seed": (int, 0, {"minimum": 0}),
         },
     ),
     "csv": (load_csv_dataset, {"path": (str, MISSING), "target": (str, "target")}),
@@ -144,6 +145,7 @@ class RunConfig:
     bound_gnq: tuple[float, ...]
     attack_bins: int
     defense_fractions: tuple[float, ...] | None
+    oracle: dict
     oracle_seed: int
     oracle_corrupt: str | None
     output_dir: Path
@@ -184,9 +186,9 @@ class RunConfig:
         if not bound_gnq or any(g < 0 or not np.isfinite(g) for g in bound_gnq):
             raise ConfigurationError("bound.gnq needs one or more values, each finite and >= 0")
 
-        attack_bins = read_json_section("attack", raw.get("attack", {}), {"n_bins": (int, 8)})["n_bins"]
-        if attack_bins < 2:
-            raise ConfigurationError(f"attack.n_bins must be >= 2, got {attack_bins}")
+        attack_bins = read_json_section(
+            "attack", raw.get("attack", {}), {"n_bins": (int, 8, {"minimum": 2})}
+        )["n_bins"]
 
         if "defense" in raw:
             d = read_json_section(
@@ -198,11 +200,12 @@ class RunConfig:
             if any(not 0.0 <= f < 1.0 for f in defense_fractions):
                 raise ConfigurationError("defense fractions must lie in [0, 1)")
 
+        oracle_section = _seeded(raw.get("oracle", {}), seed_override)
         oracle = read_json_section(
-            "oracle", raw.get("oracle", {}), {"seed": (int, 0), "corrupt": (str | None, None)}
+            "oracle",
+            oracle_section,
+            {"seed": (int, 0, {"minimum": 0}), "corrupt": (str | None, None)},
         )
-        if oracle["seed"] < 0:
-            raise ConfigurationError(f"oracle.seed must be >= 0, got {oracle['seed']}")
         out = out_override if out_override is not None else raw.get("output_dir", "out")
         return cls(
             raw=raw,
@@ -214,6 +217,7 @@ class RunConfig:
             bound_gnq=bound_gnq,
             attack_bins=attack_bins,
             defense_fractions=defense_fractions,
+            oracle=oracle_section,
             oracle_seed=oracle["seed"],
             oracle_corrupt=oracle["corrupt"],
             output_dir=Path(json_value("output_dir", out, str)),
@@ -226,6 +230,8 @@ class RunConfig:
             out["sampling"] = self.sampling.to_json_dict()
         if self.dataset is not None:
             out["dataset"] = dict(self.dataset)
+        if self.oracle:
+            out["oracle"] = dict(self.oracle)
         out["output_dir"] = str(self.output_dir)
         return out
 
@@ -257,10 +263,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
     cfg.require("dataset")
-    try:
-        return cfg.build_dataset()
-    except ValueError as exc:  # numpy's seeding refuses a negative seed
-        raise ConfigurationError(f"bad dataset section: {exc!r}") from exc
+    return cfg.build_dataset()
 
 
 def _write_provenance(cfg: RunConfig) -> None:

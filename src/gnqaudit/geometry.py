@@ -232,7 +232,8 @@ def downdate_guard(
     """Leave-one-out scores of rows against S = rows^T rows = V diag(w) V^T.
 
     w and V are the full eigendecomposition of S (ascending), and projected
-    is `project_rows(w, V, rows, tol)`. Returns
+    is `project_rows(w, V, rows, tol)`, or those rows' entries of a
+    projection of more rows. Returns
     (values, range_ok, reasons, health): where reasons[j] is "", values[j]
     and range_ok[j] equal the truncated pseudoinverse score and range flag
     against S - g_j g_j^T (see the module docstring). Elsewhere they are
@@ -360,14 +361,14 @@ def gnq_exact(grads: GradientSet, j: int, tol: float = DEFAULT_TOL) -> GnqScore:
         raise InsufficientDataError("need at least 2 examples for a leave-one-out score")
     if not 0 <= j < grads.n_examples:
         raise ConfigurationError(f"example index {j} out of range")
-    others = np.delete(grads.vectors, j, axis=0)
-    value, range_ok = pinv_quadform(others.T @ others, grads.vectors[j], tol)
-    return GnqScore(
-        example=j,
-        iteration=grads.iteration,
-        value=value,
-        range_ok=range_ok,
-    )
+    value, range_ok = _leave_one_out(grads.vectors, j, tol)
+    return GnqScore(example=j, iteration=grads.iteration, value=value, range_ok=range_ok)
+
+
+def _leave_one_out(rows: np.ndarray, j: int, tol: float) -> tuple[float, bool]:
+    """rows[j] against the pseudoinverse of the other rows' Gram matrix, rebuilt."""
+    others = np.delete(rows, j, axis=0)
+    return pinv_quadform(others.T @ others, rows[j], tol)
 
 
 def loo_scores(
@@ -376,10 +377,11 @@ def loo_scores(
     """Exact scores of every row against S = sum of the member rows' g_k g_k^T.
 
     A member row j is scored against S - g_j g_j^T, every other row against S,
-    all from one eigendecomposition of S. A member row takes the downdate,
-    with its secular correction, where `downdate_guard` proves it exact;
-    otherwise it is recomputed from the rebuilt sum over the other members,
-    and reasons[j] names the FallbackReason ("" for rows scored from S's
+    all from one eigendecomposition of S and one projection of every row
+    onto it. A member row takes the downdate, with its secular correction,
+    where `downdate_guard` proves it exact; otherwise it is recomputed from
+    the rebuilt sum over the other members, as `gnq_exact` does, and
+    reasons[j] names the FallbackReason ("" for rows scored from S's
     factorization). Returns (values, range_ok, reasons), one entry per row of
     vectors, and the health of S's spectrum.
     """
@@ -389,21 +391,14 @@ def loo_scores(
     w, v = np.linalg.eigh(basis.T @ basis)
     lam_max, keep, z2, values, resid_sq = project_rows(w, v, vectors, tol)
     range_ok = resid_sq <= tol * lam_max
-    if members.size == vectors.shape[0]:
-        projected = (lam_max, keep, z2[members], values[members], resid_sq[members])
-    else:
-        # A product over a subset of the rows can round differently from the
-        # same rows inside the whole product; the batch keeps its own.
-        projected = project_rows(w, v, basis, tol)
+    projected = (lam_max, keep, z2[members], values[members], resid_sq[members])
     member_values, member_ok, member_reasons, health = downdate_guard(w, basis, projected, tol)
     values[members] = member_values
     range_ok[members] = member_ok
     reasons = np.full(vectors.shape[0], "", dtype=member_reasons.dtype)
     reasons[members] = member_reasons
     for pos in np.flatnonzero(member_reasons != ""):
-        others = np.delete(basis, pos, axis=0)
-        j = members[pos]
-        values[j], range_ok[j] = pinv_quadform(others.T @ others, vectors[j], tol)
+        values[members[pos]], range_ok[members[pos]] = _leave_one_out(basis, pos, tol)
     return values, range_ok, reasons, health
 
 

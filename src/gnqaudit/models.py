@@ -64,8 +64,10 @@ class ModelSpec(ConfigSection):
                 raise ConfigurationError(
                     "mlp needs input_dim >= 1, hidden_dim >= 1, n_classes >= 2"
                 )
-        if self.init is InitKind.SEEDED_GAUSSIAN and not self.init_scale > 0:
-            raise ConfigurationError(f"init_scale must be positive, got {self.init_scale}")
+        if self.hidden_dim < 0 or self.n_classes < 0:
+            raise ConfigurationError("model.hidden_dim and model.n_classes must be >= 0")
+        if not self.init_scale > 0:
+            raise ConfigurationError(f"model.init_scale must be positive, got {self.init_scale}")
 
     @property
     def n_params(self) -> int:

@@ -26,6 +26,10 @@ exact at finite N under the independent_bernoulli scheme.
 `enumerate_exact_moments` recomputes all of these (and the pairwise cross
 covariances the closed forms neglect) by exhaustive enumeration over all 3^N
 joint indicator states; it is the oracle the formulas are tested against.
+This module owns the one enumeration: `state_laws` gives the states and
+their laws (unconditional and given T_j), `weighted_moments` accumulates
+moments of Z or of the normalized gradient sum Z G / B under one of them,
+and the oracle's update covariances come from the same two.
 """
 
 from __future__ import annotations
@@ -97,10 +101,23 @@ def json_value(name: str, value, kind):
     )
 
 
+def _check_limits(name: str, value, limits: dict) -> None:
+    items = value if isinstance(value, list) else [value]
+    if len(items) < limits.get("minItems", 0):
+        raise ConfigurationError(f"{name} needs at least {limits['minItems']} items, got {value!r}")
+    strict = "exclusiveMinimum" in limits
+    low = limits["exclusiveMinimum"] if strict else limits.get("minimum")
+    if low is not None and not all(v > low if strict else v >= low for v in items):
+        raise ConfigurationError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
+
+
 def read_json_section(section: str, obj, fields: dict) -> dict:
-    """One config section's values, checked against fields = {key: (type, default)}.
+    """One config section's values, checked against fields = {key: (type, default[, limits])}.
 
     An absent key takes its default; one whose default is MISSING is required.
+    limits holds the bounds config.schema.json puts on a given value, in its
+    keywords: "minimum" or "exclusiveMinimum" (on each item of a list) and
+    "minItems".
     """
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{section} must be a JSON object, got {obj!r}")
@@ -108,9 +125,11 @@ def read_json_section(section: str, obj, fields: dict) -> dict:
     if unknown:
         raise ConfigurationError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
     values = {}
-    for key, (kind, default) in fields.items():
+    for key, (kind, default, *limits) in fields.items():
         if key in obj:
             values[key] = json_value(f"{section}.{key}", obj[key], kind)
+            for bounds in limits:
+                _check_limits(f"{section}.{key}", values[key], bounds)
         elif default is MISSING:
             raise ConfigurationError(f"{section} config missing key: {key}")
         else:
@@ -345,32 +364,65 @@ def _state_probabilities(cfg: SamplingConfig, digits: np.ndarray) -> np.ndarray:
     return base * pb**n_batched * (1.0 - pb) ** n_unbatched
 
 
-def _weighted_moments(
-    digits: np.ndarray, weights: np.ndarray, chunk: int = 1 << 18
-) -> tuple[np.ndarray, np.ndarray]:
-    """First and second moments of the batched indicator under given weights.
+def state_laws(cfg: SamplingConfig, j: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """All 3^N joint indicator states and three laws over them.
 
-    Returns (mean vector E[Z], raw second-moment matrix E[Z Z^T]). Chunked so
-    the float64 expansion of the digit table never exceeds ~30 MB.
+    Returns (digits, (unconditional, given T_j = 0, given T_j = 1)): digits
+    holds one state per row, each example's digit 0 out, 1 in-train, 2
+    batched. P[T_j = 1] = n_train / n_total > 0 always; the T_j = 0 event is
+    null only when n_train == n_total, where membership carries no
+    information and that law falls back to the unconditional one.
+
+    Raises:
+        CapacityError: n_total above ENUMERATION_MAX_N.
+        ConfigurationError: j out of range.
     """
-    n = digits.shape[1]
-    mean = np.zeros(n)
-    second = np.zeros((n, n))
+    if cfg.n_total > ENUMERATION_MAX_N:
+        raise CapacityError(
+            f"exact enumeration needs n_total <= {ENUMERATION_MAX_N}, got {cfg.n_total}"
+        )
+    if not 0 <= j < cfg.n_total:
+        raise ConfigurationError(f"conditioning index {j} out of range for N={cfg.n_total}")
+    digits = _digit_table(cfg.n_total)
+    probs = _state_probabilities(cfg, digits)
+    out = np.where(digits[:, j] == 0, probs, 0.0)
+    inn = np.where(digits[:, j] >= 1, probs, 0.0)
+    p_out, p_in = out.sum(), inn.sum()
+    return digits, (probs, out / p_out if p_out > 0.0 else probs, inn / p_in)
+
+
+def weighted_moments(
+    digits: np.ndarray, weights: np.ndarray, vectors: np.ndarray | None = None, batch_size: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and raw second moments under weights of Z, or of Z G / B given vectors.
+
+    Z is each state's 0/1 batched indicator; with vectors = G (one row per
+    example) the moments are of the normalized batch gradient sum Z G / B.
+    Returns (mean, second moment matrix E[x x^T]). Chunked so the float64
+    expansion of the digit table never exceeds ~30 MB.
+    """
+    dim = digits.shape[1] if vectors is None else vectors.shape[1]
+    mean = np.zeros(dim)
+    second = np.zeros((dim, dim))
+    chunk = 1 << 18
     for start in range(0, digits.shape[0], chunk):
-        z = (digits[start : start + chunk] == 2).astype(np.float64)
+        x = (digits[start : start + chunk] == 2).astype(np.float64)
+        if vectors is not None:
+            x = (x @ vectors) / batch_size
         w = weights[start : start + chunk]
-        mean += w @ z
-        second += z.T @ (z * w[:, None])
+        mean += w @ x
+        second += x.T @ (x * w[:, None])
     return mean, second
 
 
 def enumerate_exact_moments(cfg: SamplingConfig, j: int) -> ExactMomentTable:
     """Exact indicator moments by exhaustive enumeration; oracle for the formulas.
 
-    Sums over all 3^N joint (t, m) assignments with their exact probabilities.
-    Accumulation is float64 over probability-weighted 0/1 indicators with
-    pairwise reduction, which keeps the result within ~1e-14 of exact; the
-    closed-form agreement tests run at 1e-12.
+    Sums over all 3^N joint (t, m) assignments with their exact probabilities
+    (`state_laws`, `weighted_moments`; the oracle's update covariances come
+    from the same two). Accumulation is float64 over probability-weighted 0/1
+    indicators with pairwise reduction, which keeps the result within ~1e-14
+    of exact; the closed-form agreement tests run at 1e-12.
 
     Args:
         cfg: sampling configuration with n_total <= ENUMERATION_MAX_N.
@@ -381,33 +433,21 @@ def enumerate_exact_moments(cfg: SamplingConfig, j: int) -> ExactMomentTable:
         ConfigurationError: j out of range, or conditioning degenerate
             (n_train = n_total leaves T_j = 0 with probability zero).
     """
-    if cfg.n_total > ENUMERATION_MAX_N:
-        raise CapacityError(
-            f"exact enumeration needs n_total <= {ENUMERATION_MAX_N}, got {cfg.n_total}"
-        )
-    if not 0 <= j < cfg.n_total:
-        raise ConfigurationError(f"conditioning index {j} out of range for N={cfg.n_total}")
+    digits, (probs, out, inn) = state_laws(cfg, j)
     if cfg.n_train == cfg.n_total:
         raise ConfigurationError(
             "conditional moments need n_train < n_total; T_j = 0 is impossible otherwise"
         )
-    digits = _digit_table(cfg.n_total)
-    probs = _state_probabilities(cfg, digits)
-
-    mean, second = _weighted_moments(digits, probs)
+    mean, second = weighted_moments(digits, probs)
     cov = second - np.outer(mean, mean)
-
-    cond = {}
-    for label, mask in (("out", digits[:, j] == 0), ("in", digits[:, j] >= 1)):
-        w = np.where(mask, probs, 0.0)
-        total = w.sum()
-        w = w / total
-        cmean, csecond = _weighted_moments(digits, w)
-        cond[label] = csecond.diagonal() - cmean**2
+    cond = []
+    for weights in (out, inn):
+        cmean, csecond = weighted_moments(digits, weights)
+        cond.append(csecond.diagonal() - cmean**2)
     return ExactMomentTable(
         j=j,
         var_unconditional=cov.diagonal().copy(),
-        var_given_out=cond["out"],
-        var_given_in=cond["in"],
+        var_given_out=cond[0],
+        var_given_in=cond[1],
         cov_unconditional=cov,
     )

@@ -102,6 +102,63 @@ def enum_indicator_moments(n, nt, b, scheme, j=0):
     return out
 
 
+def enum_update_covariances(vectors, nt, b, scheme, j=0):
+    """Exact covariances of the normalized update u = sum_n T_n M_n g_n / B.
+
+    Walks every training pattern t and every batch pattern inside it with
+    exact Fraction probabilities, as enum_indicator_moments does, and sums
+    the moments of u over the events T_j = 0 and T_j = 1 separately. scheme
+    is "wor" or "bernoulli". Returns three dim x dim lists of Fractions: the
+    covariance of u unconditionally, given T_j = 0 (the unconditional one
+    when that event is null) and given T_j = 1.
+    """
+    n, dim = len(vectors), len(vectors[0])
+    g = [[Fraction(float(x)) for x in row] for row in vectors]
+    pb, p_in = Fraction(b, nt), Fraction(nt, n)
+    zero = Fraction(0)
+    # per T_j outcome: [mass, E-sums of u, E-sums of u u^T]
+    acc = {tau: [zero, [zero] * dim, [[zero] * dim for _ in range(dim)]] for tau in (0, 1)}
+    for t in product((0, 1), repeat=n):
+        if scheme == "wor":
+            if sum(t) != nt:
+                continue
+            wt = Fraction(1, len(list(combinations(range(n), nt))))
+        elif scheme == "bernoulli":
+            wt = Fraction(1)
+            for bit in t:
+                wt *= p_in if bit else 1 - p_in
+        else:
+            raise ValueError(scheme)
+        members = [i for i in range(n) if t[i]]
+        for m_bits in product((0, 1), repeat=len(members)):
+            w = wt
+            for bit in m_bits:
+                w *= pb if bit else 1 - pb
+            batched = [i for i, bit in zip(members, m_bits) if bit]
+            u = [sum((g[i][p] for i in batched), zero) / b for p in range(dim)]
+            mass, first, second = acc[t[j]]
+            acc[t[j]][0] = mass + w
+            for p in range(dim):
+                first[p] += w * u[p]
+                for q in range(dim):
+                    second[p][q] += w * u[p] * u[q]
+
+    def cov(mass, first, second):
+        return [
+            [second[p][q] / mass - (first[p] / mass) * (first[q] / mass) for q in range(dim)]
+            for p in range(dim)
+        ]
+
+    total = [
+        acc[0][0] + acc[1][0],
+        [acc[0][1][p] + acc[1][1][p] for p in range(dim)],
+        [[acc[0][2][p][q] + acc[1][2][p][q] for q in range(dim)] for p in range(dim)],
+    ]
+    unconditional = cov(*total)
+    given_out = cov(*acc[0]) if acc[0][0] else unconditional
+    return unconditional, given_out, cov(*acc[1])
+
+
 # gradient geometry -----------------------------------------------------------
 
 

@@ -296,6 +296,26 @@ def test_oracle_passes_and_reports(tmp_path):
     assert report["passed"] is True
 
 
+def test_oracle_seed_flag_overrides_the_config_seed(tmp_path):
+    configs = {
+        "flag": ({"oracle": {"seed": 0}}, ["--seed", "3"]),
+        "no-section": ({}, ["--seed", "3"]),
+        "config": ({"oracle": {"seed": 3}}, []),
+        "seed-0": ({"oracle": {"seed": 0}}, []),
+    }
+    reports = {}
+    for name, (payload, flags) in configs.items():
+        cfgp = write_config(tmp_path, payload, name=f"{name}.json")
+        assert main(["oracle", "--config", cfgp, "--out", str(tmp_path / name), *flags]) == 0
+        reports[name] = json.loads((tmp_path / name / "oracle_report.json").read_text())
+        run_config = json.loads((tmp_path / name / "run_config.json").read_text())
+        assert run_config["oracle"]["seed"] == reports[name]["config"]["oracle"]["seed"]
+    assert reports["flag"]["checks"] == reports["config"]["checks"]
+    assert reports["no-section"]["checks"] == reports["config"]["checks"]
+    assert reports["seed-0"]["checks"] != reports["config"]["checks"]
+    assert reports["flag"]["config"]["oracle"]["seed"] == 3
+
+
 def test_oracle_corruption_exits_5_and_names_the_formula(tmp_path, capsys):
     cfgp = write_config(
         tmp_path, {"oracle": {"seed": 0, "corrupt": "kappa"}, "output_dir": str(tmp_path / "bad")}
@@ -474,6 +494,55 @@ def _param(value):
         pytest.param(_set("bound", "gnq", ["1"]), None, "bound.gnq", id="quoted-gnq"),
         pytest.param(_set("bound", "gnq", []), None, "bound.gnq", id="empty-gnq"),
         pytest.param(_set("oracle", "seed", -1), None, "oracle.seed", id="negative-oracle-seed"),
+        # Values of the right type that the schema's limits refuse, at load,
+        # whether or not the command builds the dataset.
+        pytest.param(
+            lambda c: {**c, "dataset": {"kind": "blobs", "class_sizes": [4, 3], "input_dim": 1, "seed": -1}},
+            None,
+            "dataset.seed",
+            id="negative-blobs-seed",
+        ),
+        pytest.param(
+            lambda c: {**c, "dataset": {"kind": "linear", "n": 7, "seed": -4}},
+            None,
+            "dataset.seed",
+            id="negative-linear-seed",
+        ),
+        pytest.param(
+            lambda c: {**c, "dataset": {"kind": "blobs", "class_sizes": [4, 3], "input_dim": 1, "spread": 0}},
+            None,
+            "dataset.spread",
+            id="zero-spread",
+        ),
+        pytest.param(
+            lambda c: {**c, "dataset": {"kind": "blobs", "class_sizes": [4, 3], "input_dim": 1, "center_distance": 0}},
+            None,
+            "dataset.center_distance",
+            id="zero-center-distance",
+        ),
+        pytest.param(
+            lambda c: {**c, "dataset": {"kind": "blobs", "class_sizes": [7, 0], "input_dim": 1}},
+            None,
+            "dataset.class_sizes",
+            id="empty-class",
+        ),
+        pytest.param(
+            lambda c: {**c, "dataset": {"kind": "blobs", "class_sizes": [7], "input_dim": 1}},
+            None,
+            "dataset.class_sizes",
+            id="one-class",
+        ),
+        pytest.param(
+            lambda c: {**c, "dataset": {"kind": "linear", "n": 7, "noise_scale": -0.5}},
+            None,
+            "dataset.noise_scale",
+            id="negative-noise-scale",
+        ),
+        pytest.param(
+            lambda c: {**c, "dataset": {"kind": "linear", "n": 1}}, None, "dataset.n", id="one-row-linear"
+        ),
+        pytest.param(_set("model", "init_scale", 0), None, "model.init_scale", id="zero-init-scale-zeros-init"),
+        pytest.param(_set("model", "hidden_dim", -1), None, "model.hidden_dim", id="negative-hidden-dim"),
         pytest.param(
             None,
             lambda t: {k: v for k, v in t.items() if k != "dataset_sha256"},

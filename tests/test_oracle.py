@@ -13,14 +13,14 @@ from gnqaudit import (
 from gnqaudit.bounds import per_iteration_leakage, prior_entropy
 from gnqaudit.oracle import (
     DISCRETE_MI_MAX_N,
-    ENUMERATION_MAX_N,
     closed_form_covariances,
     enumerate_covariances,
     exact_discrete_mi,
     gaussian_leakage_from_covariances,
-    monte_carlo_covariances,
     run_oracle_checks,
 )
+from gnqaudit.sampling import ENUMERATION_MAX_N
+from oracles import enum_update_covariances
 
 BER = SamplingScheme.INDEPENDENT_BERNOULLI
 WOR = SamplingScheme.WITHOUT_REPLACEMENT
@@ -144,16 +144,20 @@ def test_enumeration_capacity_cap():
         enumerate_covariances(GradientSet(iteration=0, vectors=g), cfg, 0)
 
 
-def test_monte_carlo_approaches_closed_form_and_is_seeded():
-    rng = np.random.default_rng(2)
-    grads = GradientSet(iteration=0, vectors=rng.normal(size=(6, 3)))
-    cfg = cfg_of(6, 3, 2)
-    closed = closed_form_covariances(grads, cfg, 0)
-    mc = monte_carlo_covariances(grads, cfg, 0, trials=40000)
-    assert np.abs(mc.sigma - closed.sigma).max() < 0.02
-    assert mc.trials == 40000
-    again = monte_carlo_covariances(grads, cfg, 0, trials=40000)
-    assert np.array_equal(mc.sigma, again.sigma)
+@pytest.mark.parametrize("scheme", [WOR, BER], ids=["wor", "bernoulli"])
+def test_enumerated_conditionals_match_fraction_reference(scheme):
+    # sigma0 and sigma1 against rational enumeration of the update itself,
+    # including n_train = n_total, where the T_j = 0 law is the unconditional one
+    rng = np.random.default_rng(31)
+    for n, nt, b in ((4, 2, 1), (5, 3, 2), (6, 4, 2), (6, 2, 2), (5, 5, 2)):
+        grads = GradientSet(iteration=0, vectors=rng.normal(size=(n, 2)))
+        j = int(rng.integers(n))
+        enum = enumerate_covariances(grads, cfg_of(n, nt, b, scheme), j)
+        key = "wor" if scheme is WOR else "bernoulli"
+        ref = enum_update_covariances(grads.vectors, nt, b, key, j)
+        for name, exact in zip(("sigma", "sigma0", "sigma1"), ref):
+            gap = np.abs(getattr(enum, name) - np.array(exact, dtype=float)).max()
+            assert gap <= 1e-12, (n, nt, b, name, gap)
 
 
 # Gaussian-entropy leakage path -----------------------------------------------------

@@ -206,6 +206,18 @@ def test_config_schema_dataset_kinds_are_the_builder_table():
     assert kinds == {kind: set(fields) for kind, (_, fields) in _DATASETS.items()}
 
 
+def test_config_schema_dataset_limits_are_the_builder_table():
+    # The reader refuses at load what the schema refuses: the same bounds, by key.
+    for variant in CONFIG_SCHEMA["properties"]["dataset"]["oneOf"]:
+        _, fields = _DATASETS[variant["properties"]["kind"]["const"]]
+        for key, prop in variant["properties"].items():
+            if key == "kind":
+                continue
+            limits = {**prop, **prop.get("items", {})}
+            want = {k: v for k, v in limits.items() if k in ("minimum", "exclusiveMinimum", "minItems")}
+            assert (fields[key][2:] or ({},))[0] == want, key
+
+
 # determinism of written artifacts -----------------------------------------------------
 
 
