@@ -14,12 +14,11 @@ P_j the projector onto S_j's kept eigenvectors. The residual energy must be no
 more than the cutoff discards. Out-of-range scores are reported, never fatal.
 
 Audits score whole gradient arrays with two functions. `loo_scores` is
-exact: it factors S = sum over member rows g_k g_k^T once, scores each member
-row against S - g_j g_j^T and every other row against S. `diagonal_scores`
-is the cheap surrogate over S's diagonal. `gnq_exact` is the per-example
-reference both are checked against.
+exact: it factors S = sum over all rows g_k g_k^T once and scores each row
+against S - g_j g_j^T. `diagonal_scores` is the cheap surrogate over S's
+diagonal. `gnq_exact` is the per-example reference both are checked against.
 
-`downdate_guard` scores member rows from one eigendecomposition S = V
+`downdate_guard` scores every row from one eigendecomposition S = V
 diag(lambda) V^T. With c = tol * lambda_max it splits the eigenvalues three
 ways: kept (above c); null (at or below N_p * eps * lambda_max, the backward
 error of eigh), taken as zero, their part of z = V^T g_j going to the
@@ -84,15 +83,13 @@ from .errors import ConfigurationError, InsufficientDataError, ShapeError
 
 DEFAULT_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
-# S is N_p x N_p in exact mode; above this, use a diagonal mode.
+# S is N_p x N_p in exact mode; above this, use diagonal mode.
 EXACT_MODE_DIM_CAP = 4096
 
 
 class GramMode(enum.Enum):
     FULL_EXACT = "full_exact"
     DIAGONAL = "diagonal"
-    BATCH_EXACT = "batch_exact"
-    BATCH_DIAGONAL = "batch_diagonal"
 
 
 @dataclass(frozen=True)
@@ -178,20 +175,6 @@ def pinv_quadform(s: np.ndarray, g: np.ndarray, tol: float = DEFAULT_TOL) -> tup
     return value, float(resid @ resid) <= tol * lam_max
 
 
-def project_rows(
-    w: np.ndarray, v: np.ndarray, rows: np.ndarray, tol: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each row g against S = V diag(w) V^T itself, from S's full eigendecomposition.
-
-    Returns (lambda_max, kept-eigenvalue mask, z^2 = (V^T g)^2 per row,
-    q = g^T S^+ g per row, ||g - P g||^2 per row).
-    """
-    lam_max = max(float(w[-1]), 0.0)
-    keep = w > tol * lam_max
-    z2 = (rows @ v) ** 2
-    return lam_max, keep, z2, z2[:, keep] @ (1.0 / w[keep]), z2[:, ~keep].sum(axis=1)
-
-
 def _secular_root(
     z2: np.ndarray, w: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -227,13 +210,11 @@ def _secular_root(
 
 
 def downdate_guard(
-    w: np.ndarray, rows: np.ndarray, projected: tuple, tol: float
+    w: np.ndarray, v: np.ndarray, rows: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SpectrumHealth]:
     """Leave-one-out scores of rows against S = rows^T rows = V diag(w) V^T.
 
-    w and V are the full eigendecomposition of S (ascending), and projected
-    is `project_rows(w, V, rows, tol)`, or those rows' entries of a
-    projection of more rows. Returns
+    w and V are the full eigendecomposition of S (ascending). Returns
     (values, range_ok, reasons, health): where reasons[j] is "", values[j]
     and range_ok[j] equal the truncated pseudoinverse score and range flag
     against S - g_j g_j^T (see the module docstring). Elsewhere they are
@@ -241,9 +222,14 @@ def downdate_guard(
     own factorization. health describes S's spectrum.
     """
     n_rows, dim = rows.shape
-    lam_max, keep, z2, q, resid_sq = projected
+    lam_max = max(float(w[-1]), 0.0)
     cutoff = tol * lam_max
     level = dim * _EPS * lam_max
+    keep = w > cutoff
+    # z = V^T g per row; q = g^T S^+ g, and the residual outside the kept part.
+    z2 = (rows @ v) ** 2
+    q = z2[:, keep] @ (1.0 / w[keep])
+    resid_sq = z2[:, ~keep].sum(axis=1)
     null = ~keep & (w <= level)
     d = int(np.sum(~keep & ~null))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -283,8 +269,8 @@ def downdate_guard(
     # eigenvector into the null space by at most about N_p * eps * lambda_max
     # / c = N_p * eps / tol, so more null energy than that is a part of g_j
     # that S's factorization does not resolve (g_j g_j^T below eigh's
-    # backward error, as in small realized batches); removing g_j then
-    # cannot be taken from S.
+    # backward error, when there are fewer rows than parameters); removing
+    # g_j then cannot be taken from S.
     out_of_range = resid_sq > np.minimum(tol * lam_j, dim * _EPS / tol * g_sq)
     values = np.full(n_rows, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -372,45 +358,35 @@ def _leave_one_out(rows: np.ndarray, j: int, tol: float) -> tuple[float, bool]:
 
 
 def loo_scores(
-    vectors: np.ndarray, members: np.ndarray, tol: float
+    vectors: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SpectrumHealth]:
-    """Exact scores of every row against S = sum of the member rows' g_k g_k^T.
+    """Exact score of every row j against S - g_j g_j^T, S = sum_k g_k g_k^T.
 
-    A member row j is scored against S - g_j g_j^T, every other row against S,
-    all from one eigendecomposition of S and one projection of every row
-    onto it. A member row takes the downdate, with its secular correction,
-    where `downdate_guard` proves it exact; otherwise it is recomputed from
-    the rebuilt sum over the other members, as `gnq_exact` does, and
-    reasons[j] names the FallbackReason ("" for rows scored from S's
-    factorization). Returns (values, range_ok, reasons), one entry per row of
-    vectors, and the health of S's spectrum.
+    All rows are scored from one eigendecomposition of S. A row takes the
+    downdate, with its secular correction, where `downdate_guard` proves it
+    exact; otherwise it is recomputed from the rebuilt sum over the other
+    rows, as `gnq_exact` does, and reasons[j] names the FallbackReason (""
+    for rows scored from S's factorization). Returns (values, range_ok,
+    reasons), one entry per row of vectors, and the health of S's spectrum.
     """
     if tol <= 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
-    basis = vectors[members]
-    w, v = np.linalg.eigh(basis.T @ basis)
-    lam_max, keep, z2, values, resid_sq = project_rows(w, v, vectors, tol)
-    range_ok = resid_sq <= tol * lam_max
-    projected = (lam_max, keep, z2[members], values[members], resid_sq[members])
-    member_values, member_ok, member_reasons, health = downdate_guard(w, basis, projected, tol)
-    values[members] = member_values
-    range_ok[members] = member_ok
-    reasons = np.full(vectors.shape[0], "", dtype=member_reasons.dtype)
-    reasons[members] = member_reasons
-    for pos in np.flatnonzero(member_reasons != ""):
-        values[members[pos]], range_ok[members[pos]] = _leave_one_out(basis, pos, tol)
+    w, v = np.linalg.eigh(vectors.T @ vectors)
+    values, range_ok, reasons, health = downdate_guard(w, v, vectors, tol)
+    for j in np.flatnonzero(reasons != ""):
+        values[j], range_ok[j] = _leave_one_out(vectors, j, tol)
     return values, range_ok, reasons, health
 
 
-def diagonal_scores(vectors: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal surrogate sum_p g_jp^2 / G_p of every row, G the member rows' Gram diagonal.
+def diagonal_scores(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal surrogate sum_p g_jp^2 / G_p of every row, G the rows' Gram diagonal.
 
-    A member row's own contribution stays in G, matching the ranking
-    algorithm's approximate mode. Coordinates where G_p = 0 contribute 0; a
-    row with g_jp != 0 on such a coordinate is out of range (the diagonal
-    cannot see that direction). Returns (values, range_ok).
+    A row's own contribution stays in G, matching the ranking algorithm's
+    approximate mode. Coordinates where G_p = 0 contribute 0; a row with
+    g_jp != 0 on such a coordinate is out of range (the diagonal cannot see
+    that direction). Returns (values, range_ok).
     """
-    diag = np.sum(vectors[members] ** 2, axis=0)
+    diag = np.sum(vectors**2, axis=0)
     zero = diag == 0.0
     range_ok = ~np.any(zero & (vectors != 0.0), axis=1)
     terms = np.where(zero, 0.0, vectors**2 / np.where(zero, 1.0, diag))

@@ -536,7 +536,7 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
     instances.append(crossing)
     worst = 0.0
     for vectors in instances:
-        values, _, reasons, _ = loo_scores(vectors, np.arange(len(vectors)), tol)
+        values, _, reasons, _ = loo_scores(vectors, tol)
         worst = max(worst, _pinv_reference(vectors, values, tol)[0])
     checks.append(
         _gate(
@@ -563,7 +563,7 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
         rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         spectrum = np.concatenate(([1.0], kept, near))
         vectors = basis @ np.diag(np.sqrt(spectrum)) @ rotation.T
-        values, range_ok, _, health = loo_scores(vectors, np.arange(n), tol)
+        values, range_ok, _, health = loo_scores(vectors, tol)
         secular += health.secular
         gap, in_range = _pinv_reference(vectors, values, tol)
         worst = max(worst, gap)

@@ -152,9 +152,13 @@ def write_sweep_csv(path: str | Path, reports: list[DefenseReport]) -> Path:
 def audit_report(record: AuditRecord, config: dict, ranking: np.ndarray) -> dict:
     """Per-example audit summary: cumulative scores, bounds, ranking, flags.
 
-    total_bits counts every audited iteration including the one at the
-    initial parameters; total_bits_excluding_first drops that first audit
-    point for consumers who treat the init as public.
+    total_bits sums per_iteration_bits over the audited iterations only,
+    `record.audited_iterations`: 0 .. n_iters - 1 for every-iteration
+    audits, the multiples of the epoch length plus the final state n_iters
+    for every-epoch audits (whose first audited point is the epoch length,
+    not 0), and n_iters alone for final-only audits.
+    total_bits_excluding_first drops the first audited iteration, whichever
+    it is; it is the initial parameters only for every-iteration audits.
     """
     fano = record.fano
     per_example = [

@@ -52,7 +52,7 @@ ENUMERATION_MAX_N = 14
 # Substream tags keep the training draw, batch draws, model init, and data
 # generation on disjoint streams of one base seed.
 _TRAIN_TAG = 1
-_BATCH_TAG = 2
+_STEP_TAG = 2
 _INIT_TAG = 3
 _DATA_TAG = 4
 _SPLIT_TAG = 5
@@ -263,7 +263,7 @@ def draw_indicators(cfg: SamplingConfig, iteration: int) -> IndicatorDraw:
     if iteration < 0:
         raise ConfigurationError(f"iteration must be >= 0, got {iteration}")
     t = train_indicator(cfg)
-    rng = stream(cfg.seed, _BATCH_TAG, iteration)
+    rng = stream(cfg.seed, _STEP_TAG, iteration)
     # Bernoulli(B / n_train) per training member; B = n_train forces m = t.
     u = rng.random(cfg.n_total)
     m = np.where(t == 1, (u < cfg.batch_size / cfg.n_train).astype(np.uint8), 0).astype(np.uint8)

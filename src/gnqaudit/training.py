@@ -191,21 +191,19 @@ def audit(
 ) -> AuditRecord:
     """Recompute gradients along the trajectory and score every example.
 
-    Exact modes score with `loo_scores`, diagonal modes with
-    `diagonal_scores`. The basis rows are the whole pool for FULL_EXACT and
-    DIAGONAL. Batch-restricted modes redraw the batch realized at the audited
-    iteration from the sampling seed; the final state, where no batch was
-    drawn, reuses the last executed iteration's batch.
+    FULL_EXACT scores with `loo_scores`, DIAGONAL with `diagonal_scores`;
+    either way each example is scored against the gradients of the whole
+    pool.
     """
     if len(data) != traj.cfg.n_total:
         raise ConfigurationError(
             f"dataset has {len(data)} rows but trajectory says n_total={traj.cfg.n_total}"
         )
-    exact = mode in (GramMode.FULL_EXACT, GramMode.BATCH_EXACT)
+    exact = mode is GramMode.FULL_EXACT
     if exact and traj.model.n_params > geometry.EXACT_MODE_DIM_CAP:
         raise CapacityError(
             f"exact mode caps n_params at {geometry.EXACT_MODE_DIM_CAP}, "
-            f"got {traj.model.n_params}; use a diagonal mode"
+            f"got {traj.model.n_params}; use diagonal mode"
         )
     iters = audited_iterations(traj.cfg, cadence)
     n = traj.cfg.n_total
@@ -213,26 +211,19 @@ def audit(
     range_ok = np.zeros((len(iters), n), dtype=bool)
     fallbacks: dict[int, dict[str, int]] = {}
     spectra: dict[int, SpectrumHealth] = {}
-    batched = mode in (GramMode.BATCH_EXACT, GramMode.BATCH_DIAGONAL)
     for row, i in enumerate(iters):
         # GradientSet rejects non-finite gradients from a corrupt checkpoint.
         grads = GradientSet(
             iteration=i,
             vectors=gradient_all(traj.model, traj.params_per_iter[i], data.features, data.targets),
         ).vectors
-        members = np.arange(n)
-        if batched:
-            members = draw_indicators(traj.cfg, min(i, traj.cfg.n_iters - 1)).batch_indices
-            if members.size == 0:
-                # Degenerate empty batch: nothing spans anything; flag, don't fail.
-                continue
         if exact:
-            values[row], range_ok[row], reasons, spectra[i] = loo_scores(grads, members, tol)
+            values[row], range_ok[row], reasons, spectra[i] = loo_scores(grads, tol)
             names, counts = np.unique(reasons[reasons != ""], return_counts=True)
             if names.size:
                 fallbacks[i] = dict(zip(names.tolist(), counts.tolist()))
         else:
-            values[row], range_ok[row] = diagonal_scores(grads, members)
+            values[row], range_ok[row] = diagonal_scores(grads)
     prior = prior_entropy(traj.cfg.n_train, traj.cfg.n_total)
     bits = per_iteration_leakage(values, traj.cfg)
     total, fano = fano_chain(prior, bits)

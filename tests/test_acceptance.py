@@ -252,7 +252,7 @@ def test_criterion_07_outlier_max_gnq():
 
     spec = ModelSpec("linear2d")
     grads = gradient_all(spec, params, ds.features, ds.targets)
-    values, _, _, _ = loo_scores(grads, np.arange(len(grads)), DEFAULT_TOL)
+    values, _, _, _ = loo_scores(grads, DEFAULT_TOL)
     assert int(np.argmax(values)) == 6
     assert values[6] > values[:6].max()  # strict, ordinal only
 

@@ -333,16 +333,16 @@ def test_oracle_corrupt_flag_is_gone():
         main(["oracle", "--config", "c.json", "--corrupt", "kappa"])
 
 
-def test_oracle_enumeration_capacity_exits_3(tmp_path):
-    cfgp = write_config(
-        tmp_path,
-        {
-            "oracle": {"seed": 0},
-            "sampling": {"n_total": 20, "n_train": 10, "batch_size": 2, "n_iters": 1, "learning_rate": 0.1},
-            "output_dir": str(tmp_path / "cap"),
-        },
-    )
-    assert main(["oracle", "--config", cfgp]) == 3
+def test_oracle_ignores_the_size_of_a_sampling_section(tmp_path):
+    # The battery runs its own instances: a sampling section too large to
+    # enumerate (N = 20) neither fails the run nor changes its checks.
+    sampling = {"n_total": 20, "n_train": 10, "batch_size": 2, "n_iters": 1, "learning_rate": 0.1}
+    checks = {}
+    for name, payload in (("plain", {}), ("sampled", {"sampling": sampling})):
+        cfgp = write_config(tmp_path, {"oracle": {"seed": 0}, **payload}, name=f"{name}.json")
+        assert main(["oracle", "--config", cfgp, "--out", str(tmp_path / name)]) == 0
+        checks[name] = json.loads((tmp_path / name / "oracle_report.json").read_text())["checks"]
+    assert checks["sampled"] == checks["plain"]
 
 
 # failure modes ----------------------------------------------------------------------
@@ -489,6 +489,8 @@ def _param(value):
         ),
         pytest.param(_set("attack", "n_bins", 2.5), None, "attack.n_bins", id="float-n_bins"),
         pytest.param(_set("audit", "tol", "1e-10"), None, "audit.tol", id="quoted-tol"),
+        pytest.param(_set("audit", "mode", "batch_exact"), None, "audit.mode", id="batch-exact-mode"),
+        pytest.param(_set("audit", "mode", "batch_diagonal"), None, "audit.mode", id="batch-diagonal-mode"),
         pytest.param(_set("oracle", "seed", 1.5), None, "oracle.seed", id="float-oracle-seed"),
         pytest.param(_set("defense", "p", "0.1"), None, "defense.p", id="quoted-defense-p"),
         pytest.param(_set("bound", "gnq", ["1"]), None, "bound.gnq", id="quoted-gnq"),
@@ -598,10 +600,10 @@ def test_older_checkpoint_format_exits_2_and_names_the_version(tmp_path, capsys)
 
 
 def test_reloaded_checkpoint_writes_the_fresh_train_bytes(tmp_path):
-    # Batch-restricted audits and the attack read membership and batches,
-    # which come from the sampling seed whether or not a checkpoint is given.
+    # The attack reads membership, which comes from the sampling seed
+    # whether or not a checkpoint is given.
     cfgp = blob_config(
-        tmp_path, class_sizes=(30, 30), extra={"audit": {"mode": "batch_exact", "cadence": "every_iteration"}}
+        tmp_path, class_sizes=(30, 30), extra={"audit": {"mode": "full_exact", "cadence": "every_iteration"}}
     )
     out = tmp_path / "run"
     artifacts = ("audit_report.json", "scores.csv", "attack_report.json", "attack.csv")

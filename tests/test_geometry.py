@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import stats
 
 from gnqaudit import (
     ConfigurationError,
@@ -18,7 +17,7 @@ from gnqaudit import (
     make_blobs,
     pdet_rank_one,
 )
-from gnqaudit.geometry import FallbackReason, downdate_guard, pdet_and_rank, project_rows
+from gnqaudit.geometry import FallbackReason, downdate_guard, pdet_and_rank
 from gnqaudit.defense import split_pool
 from gnqaudit.models import ModelSpec, gradient_all, init_params
 from gnqaudit.sampling import SamplingConfig, draw_indicators
@@ -34,10 +33,9 @@ def gs(rows, iteration=0):
     return GradientSet(iteration=iteration, vectors=np.asarray(rows, dtype=float))
 
 
-def loo(rows, tol=1e-10, members=None):
-    """loo_scores with every row a member unless members says otherwise; no health."""
-    g = np.asarray(rows, dtype=float)
-    return loo_scores(g, np.arange(len(g)) if members is None else np.asarray(members), tol)[:3]
+def loo(rows, tol=1e-10):
+    """loo_scores without the spectrum health."""
+    return loo_scores(np.asarray(rows, dtype=float), tol)[:3]
 
 
 # gnq_exact --------------------------------------------------------------------
@@ -209,7 +207,7 @@ def test_rounding_filled_null_space_takes_no_fallback(monkeypatch):
     w = np.linalg.eigvalsh(g.T @ g)
     assert int(np.sum(w > 1e-10 * w[-1])) == 181
     calls = _count_eigh(monkeypatch)
-    values, range_ok, reasons, health = loo_scores(g, np.arange(len(g)), 1e-10)
+    values, range_ok, reasons, health = loo_scores(g, 1e-10)
     assert len(calls) == 1
     assert np.all(reasons == "") and range_ok.all()
     # A clean cut with every f(c) >= 0: no secular root is needed.
@@ -265,7 +263,7 @@ def test_near_cutoff_eigenvalue_kept_under_the_lower_cutoff_falls_back():
     assert 0.5 < w[0] / (tol * w[-1]) < 0.52
     kept = int(np.sum(w > tol * w[-1]))
     assert [j for j in range(6) if ref_kept_count(g, j, tol) != kept] == [0]
-    values, range_ok, reasons, health = loo_scores(g, np.arange(6), tol)
+    values, range_ok, reasons, health = loo_scores(g, tol)
     assert reasons.tolist() == [CROSSING, "", "", "", CANCELLATION, CANCELLATION]
     assert health.secular == 3
     for j in range(6):
@@ -274,8 +272,8 @@ def test_near_cutoff_eigenvalue_kept_under_the_lower_cutoff_falls_back():
 
 
 def test_member_row_the_factorization_does_not_resolve_falls_back():
-    # The batch realized at iteration 368 of the seed-2 acceptance run: 27
-    # members, S of rank 26 out of N_p = 192. Member 22's gradient
+    # The 27 rows batched at iteration 368 of the seed-2 acceptance run,
+    # scored among themselves: S of rank 26 out of N_p = 192. Row 22's gradient
     # (||g||^2 ~ 1e-13, far under eigh's backward error of S) lies mostly
     # along eigenvectors S's factorization takes as null, so its removal
     # cannot be read off S: the downdate was 35x the reference's own
@@ -286,8 +284,8 @@ def test_member_row_the_factorization_does_not_resolve_falls_back():
     cfg = SamplingConfig(400, 200, 25, 400, 1.0, seed=2)
     pool, _ = split_pool(make_blobs([250, 250], 16, 2.5, 1.75, seed=102), cfg)
     traj = train(cfg, spec, pool)
-    members = draw_indicators(cfg, 368).batch_indices
-    g = gradient_all(spec, traj.params_per_iter[368], pool.features[members], pool.targets[members])
+    rows = draw_indicators(cfg, 368).batch_indices
+    g = gradient_all(spec, traj.params_per_iter[368], pool.features[rows], pool.targets[rows])
     values, range_ok, reasons = loo(g)
     assert reasons[22] == OUT_OF_RANGE
     # Against pinv of the same sum, to the kappa-scaled tolerance of the
@@ -391,7 +389,7 @@ def test_residual_beyond_the_dropped_eigenvalues_falls_back():
     rows = np.array([[1.0, 0.0], [0.0, 1e-3]])
     v = np.array([[0.0, 1.0], [1.0, 0.0]])  # e2 with eigenvalue 0, e1 with 1
     w = np.array([0.0, 1.0])
-    _, _, reasons, _ = downdate_guard(w, rows, project_rows(w, v, rows, 1e-10), 1e-10)
+    _, _, reasons, _ = downdate_guard(w, v, rows, 1e-10)
     assert reasons.tolist() == [CROSSING, OUT_OF_RANGE]
 
 
@@ -416,28 +414,15 @@ def rank_deficient(draw):
     r = draw(st.integers(1, d))
     a = draw(hnp.arrays(np.int64, (n, r), elements=st.integers(-2, 2)))
     b = draw(hnp.arrays(np.int64, (r, d), elements=st.integers(-2, 2)))
-    members = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return (a @ b).astype(float), np.flatnonzero(members)
+    return (a @ b).astype(float)
 
 
-@given(case=rank_deficient())
+@given(g=rank_deficient())
 @settings(max_examples=150, deadline=None)
-def test_every_route_matches_gnq_exact_on_rank_deficient_input(case):
-    g, members = case
+def test_every_route_matches_gnq_exact_on_rank_deficient_input(g):
     values, range_ok, _ = loo(g)
     for j in range(g.shape[0]):
         slow = gnq_exact(gs(g), j)
-        assert values[j] == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
-        assert range_ok[j] == slow.range_ok
-    if members.size < 2:
-        return
-    values, range_ok, _ = loo(g, members=members)
-    bg = g[members]
-    for j in range(g.shape[0]):
-        if j in members:
-            slow = gnq_exact(gs(bg), int(np.searchsorted(members, j)))
-        else:
-            slow = gnq_exact(gs(np.vstack([bg, g[j]])), members.size)
         assert values[j] == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
         assert range_ok[j] == slow.range_ok
 
@@ -446,71 +431,38 @@ def test_every_route_matches_gnq_exact_on_rank_deficient_input(case):
 
 
 def test_diagonal_basic():
-    values, range_ok = diagonal_scores(np.array([[1.0, 0.0], [0.0, 1.0]]), np.arange(2))
-    assert values[0] == pytest.approx(1.0)
-    assert range_ok[0]
+    values, range_ok = diagonal_scores(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert values.tolist() == [1.0, 1.0]
+    assert range_ok.all()
 
 
 def test_diagonal_direct_sum():
-    # G = (2, 4) from the member row alone; row 1 scores 4/2 + 4/4.
-    values, _ = diagonal_scores(np.array([[np.sqrt(2.0), 2.0], [2.0, 2.0]]), np.array([0]))
-    assert values[1] == pytest.approx(3.0, rel=1e-12)
+    # G = (2, 4), each row's own contribution included: row 0 scores
+    # 1/2 + 4/4, row 1 scores 1/2 + 0.
+    values, _ = diagonal_scores(np.array([[1.0, 2.0], [1.0, 0.0]]))
+    assert values[0] == pytest.approx(1.5, rel=1e-12)
+    assert values[1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_diagonal_zero_column_flag():
-    values, range_ok = diagonal_scores(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0]))
-    assert values[1] == 0.0
-    assert not range_ok[1]
+    # Row 0's second coordinate squares to an underflowed 0, so G_2 = 0 while
+    # the row is nonzero there: the coordinate contributes 0 and the row is
+    # out of range. An all-zero column flags nobody.
+    assert (1e-170) ** 2 == 0.0
+    values, range_ok = diagonal_scores(np.array([[1.0, 1e-170, 0.0], [1.0, 0.0, 0.0]]))
+    assert values.tolist() == [0.5, 0.5]
+    assert range_ok.tolist() == [False, True]
 
 
 def test_diagonal_equals_exact_for_axis_aligned():
-    # Axis-aligned gradients make S exactly diagonal. The diagonal mode sums
-    # over all member rows (own row included), so compare against gnq_exact
-    # with example j's own row left out of the members by hand.
+    # Axis-aligned gradients make S exactly diagonal. For a row with one
+    # nonzero coordinate the diagonal score is x = g^2 / G_p with its own row
+    # in G_p, and the exact score g^2 / (G_p - g^2) is x / (1 - x).
     g = np.array([[3.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
+    values, _ = diagonal_scores(g)
     for j in range(4):
-        values, _ = diagonal_scores(g, np.delete(np.arange(4), j))
         e = gnq_exact(gs(g), j)
-        assert values[j] == pytest.approx(e.value, rel=1e-10)
-
-
-# batch-restricted loo_scores ----------------------------------------------------
-
-
-def test_batch_of_two():
-    values, range_ok, _ = loo([(1, 0), (0, 2)], members=[0, 1])
-    assert values[1] == 0.0
-    assert not range_ok[1]
-
-
-def test_batch_equals_exact_when_batch_is_everything():
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(6, 3))
-    values, range_ok, _ = loo(g, members=np.arange(6))
-    for j in range(6):
-        e = gnq_exact(gs(g), j)
-        assert values[j] == pytest.approx(e.value, rel=1e-12, abs=1e-14)
-        assert range_ok[j] == e.range_ok
-
-
-def test_batch_of_one_scores_zero_out_of_range():
-    # The lone member's leave-one-out Gram is empty; a non-member is scored
-    # against that member's rank-one Gram.
-    values, range_ok, _ = loo([(1.0, 0.0), (2.0, 0.0), (0.0, 1.0)], members=[0])
-    assert values.tolist() == [0.0, pytest.approx(4.0, rel=1e-12), 0.0]
-    assert range_ok.tolist() == [False, True, False]
-
-
-def test_batch_mode_rank_correlates_with_exact():
-    rng = np.random.default_rng(7)
-    g = rng.normal(size=(64, 10)) + 0.5 * rng.normal(size=(64, 1))
-    exact = [gnq_exact(gs(g), j).value for j in range(64)]
-    batch_vals = np.zeros(64)
-    perm = rng.permutation(64)
-    for half in (perm[:32], perm[32:]):
-        batch_vals[half] = loo(g, members=half)[0][half]
-    rho = stats.spearmanr(exact, batch_vals).statistic
-    assert rho > 0.5
+        assert values[j] / (1.0 - values[j]) == pytest.approx(e.value, rel=1e-10)
 
 
 # pdet ------------------------------------------------------------------------

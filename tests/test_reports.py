@@ -79,7 +79,7 @@ def test_numpy_and_enum_values_serialize_like_plain_python():
         "f": np.float64(0.1) + np.float64(0.2),
         "i": np.int64(7),
         "b": np.bool_(True),
-        "mode": GramMode.BATCH_EXACT,
+        "mode": GramMode.DIAGONAL,
         "t": (1, np.float64(2.5)),
         "m": np.arange(6.0).reshape(2, 3) / 7.0,
     }
@@ -87,7 +87,7 @@ def test_numpy_and_enum_values_serialize_like_plain_python():
         "f": 0.1 + 0.2,
         "i": 7,
         "b": True,
-        "mode": "batch_exact",
+        "mode": "diagonal",
         "t": [1, 2.5],
         "m": [[k / 7.0 for k in range(3)], [k / 7.0 for k in range(3, 6)]],
     }

@@ -180,49 +180,38 @@ def test_audit_record_carries_mode_and_tolerance():
     assert rec.tol == 1e-9
 
 
-def _small_mlp_run():
-    # 23 parameters: the full pool of 30 spans them, a batch of 5 does not.
-    spec = ModelSpec(kind=ModelKind.MLP, input_dim=4, hidden_dim=3, n_classes=2, init="seeded_gaussian")
+def _small_mlp_run(hidden_dim=3):
+    # 23 parameters at hidden width 3, which the pool of 30 spans; 58 at
+    # width 8, which it does not.
+    spec = ModelSpec(kind=ModelKind.MLP, input_dim=4, hidden_dim=hidden_dim, n_classes=2, init="seeded_gaussian")
     ds = make_blobs([15, 15], input_dim=4, center_distance=2.0, spread=1.0, seed=0)
     return spec, ds, train(cfg_of(30, 20, 5, 8, lr=0.5, seed=1), spec, ds)
 
 
-def _basis_rows(traj, rec, it):
-    """All rows, or the batch realized at it (the last one for the final state)."""
-    if rec.mode in (GramMode.BATCH_EXACT, GramMode.BATCH_DIAGONAL):
-        return draw_indicators(traj.cfg, min(it, traj.cfg.n_iters - 1)).batch_indices
-    return np.arange(traj.cfg.n_total)
-
-
 def test_audit_record_tallies_fallbacks_per_iteration():
-    spec, ds, traj = _small_mlp_run()
-    for mode in (GramMode.FULL_EXACT, GramMode.BATCH_EXACT):
-        rec = audit(traj, ds, mode=mode)
-        tally = {}
-        assert set(rec.spectra) == set(rec.audited_iterations)
-        for it in rec.audited_iterations:
-            grads = gradient_all(spec, traj.params_per_iter[it], ds.features, ds.targets)
-            _, _, reasons, health = loo_scores(grads, _basis_rows(traj, rec, it), rec.tol)
-            assert rec.spectra[it] == health
-            for reason in reasons[reasons != ""].tolist():
-                counts = tally.setdefault(it, {})
-                counts[reason] = counts.get(reason, 0) + 1
-        assert rec.fallbacks == tally
-    # Five batch members against 23 parameters: each leaves the others' span.
-    assert rec.fallbacks and all(set(c) == {"crossing"} for c in rec.fallbacks.values())
+    spec, ds, traj = _small_mlp_run(hidden_dim=8)
+    rec = audit(traj, ds, mode=GramMode.FULL_EXACT)
+    tally = {}
+    assert set(rec.spectra) == set(rec.audited_iterations)
+    for it in rec.audited_iterations:
+        grads = gradient_all(spec, traj.params_per_iter[it], ds.features, ds.targets)
+        _, _, reasons, health = loo_scores(grads, rec.tol)
+        assert rec.spectra[it] == health
+        for reason in reasons[reasons != ""].tolist():
+            counts = tally.setdefault(it, {})
+            counts[reason] = counts.get(reason, 0) + 1
+    assert rec.fallbacks == tally
+    # 30 rows against 58 parameters: each row leaves the others' span.
+    assert rec.fallbacks == {4: {"crossing": 30}, 8: {"crossing": 30}}
 
 
-def _reference_scores(grads, basis, mode, j):
+def _reference_scores(grads, mode, j):
     """Example j's score and range flag, computed on its own."""
-    if mode in (GramMode.DIAGONAL, GramMode.BATCH_DIAGONAL):
-        diag = np.sum(grads[basis] ** 2, axis=0)
+    if mode is GramMode.DIAGONAL:
+        diag = np.sum(grads**2, axis=0)
         seen = diag > 0.0
         return float(np.sum(grads[j, seen] ** 2 / diag[seen])), bool(np.all(grads[j, ~seen] == 0.0))
-    rows = grads[basis]
-    if j in basis:
-        score = gnq_exact(GradientSet(0, rows), int(np.searchsorted(basis, j)))
-    else:
-        score = gnq_exact(GradientSet(0, np.vstack([rows, grads[j]])), len(basis))
+    score = gnq_exact(GradientSet(0, grads), j)
     return score.value, score.range_ok
 
 
@@ -235,9 +224,8 @@ def test_every_mode_matches_per_example_references(mode):
     want_ok = np.zeros_like(rec.range_ok)
     for row, it in enumerate(rec.audited_iterations):
         grads = gradient_all(spec, traj.params_per_iter[it], ds.features, ds.targets)
-        basis = _basis_rows(traj, rec, it)
         for j in range(30):
-            want_values[row, j], want_ok[row, j] = _reference_scores(grads, basis, mode, j)
+            want_values[row, j], want_ok[row, j] = _reference_scores(grads, mode, j)
     np.testing.assert_allclose(rec.values, want_values, rtol=1e-8, atol=1e-10)
     assert np.array_equal(rec.range_ok, want_ok)
     flagged = [(it, j) for row, it in enumerate(rec.audited_iterations) for j in range(30) if not want_ok[row, j]]
