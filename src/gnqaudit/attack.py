@@ -99,23 +99,27 @@ def _oracle_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
 
     Candidates are +inf (predict nobody) and every distinct score; ties in
     balanced accuracy resolve to the largest threshold, i.e. the most
-    conservative attacker among the best.
+    conservative attacker among the best. The members and non-members at or
+    above each candidate are counted by binary search in their sorted scores,
+    where a NaN score sorts last and is at or above no candidate.
     """
+    scores = np.asarray(scores)
     labels = np.asarray(labels, dtype=bool)
     n_pos = labels.sum()
     n_neg = labels.size - n_pos
     candidates = np.concatenate([[np.inf], np.unique(scores)[::-1]])
-    best_tau = np.inf
-    best_bacc = -1.0
-    for tau in candidates:
-        pred = scores >= tau
-        tpr = (pred & labels).sum() / n_pos
-        tnr = (~pred & ~labels).sum() / n_neg
-        bacc = 0.5 * (tpr + tnr)
-        if bacc > best_bacc:
-            best_bacc = bacc
-            best_tau = tau
-    return float(best_tau)
+
+    def at_or_above(group: np.ndarray) -> np.ndarray:
+        ranked = np.sort(group)
+        not_nan = ranked.size - np.isnan(ranked).sum()
+        return not_nan - np.searchsorted(ranked, candidates, side="left")
+
+    tp = at_or_above(scores[labels])
+    fp = at_or_above(scores[~labels])
+    bacc = 0.5 * (tp / n_pos + (n_neg - fp) / n_neg)
+    # No labels of one kind make every bacc NaN, and the threshold stays +inf.
+    best = np.argmax(np.where(np.isnan(bacc), -np.inf, bacc))
+    return float(candidates[best])
 
 
 def loss_attack(model: ModelSpec, params_final: np.ndarray, data: Dataset) -> AttackResult:

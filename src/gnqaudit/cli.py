@@ -329,11 +329,12 @@ def cmd_audit(cfg: RunConfig, args: argparse.Namespace) -> None:
     )
     write_scores_csv(cfg.output_dir / "scores.csv", record)
     if args.dump_gradients:
-        mats = {
-            it: gradient_all(traj.model, traj.params_per_iter[it], data.features, data.targets)
+        # One buffer, refilled per iteration and written before the next.
+        buf = np.empty((len(data), traj.model.n_params))
+        write_gradients_csv(cfg.output_dir / "gradients.csv", (
+            (it, gradient_all(traj.model, traj.params_per_iter[it], data.features, data.targets, out=buf))
             for it in record.audited_iterations
-        }
-        write_gradients_csv(cfg.output_dir / "gradients.csv", mats)
+        ))
     n_flags = len(record.range_violations)
     print(
         f"audited {len(record.audited_iterations)} iterations of {record.n_examples} "

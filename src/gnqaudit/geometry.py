@@ -378,18 +378,35 @@ def loo_scores(
     return values, range_ok, reasons, health
 
 
-def diagonal_scores(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def diagonal_scores(
+    vectors: np.ndarray, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal surrogate sum_p g_jp^2 / G_p of every row, G the rows' Gram diagonal.
 
     A row's own contribution stays in G, matching the ranking algorithm's
     approximate mode. Coordinates where G_p = 0 contribute 0; a row with
     g_jp != 0 on such a coordinate is out of range (the diagonal cannot see
-    that direction). Returns (values, range_ok).
+    that direction). work, if given, is a C-contiguous float64 array shaped
+    like vectors that holds the squared entries (its contents are
+    overwritten); the results do not depend on it. Returns (values, range_ok).
     """
-    diag = np.sum(vectors**2, axis=0)
+    if work is not None and (
+        work.shape != vectors.shape or work.dtype != np.float64 or not work.flags.c_contiguous
+    ):
+        raise ShapeError(
+            f"work must be a C-contiguous float64 array of shape {vectors.shape}, "
+            f"got {work.dtype} {work.shape}"
+        )
+    terms = np.square(vectors, out=work)
+    diag = terms.sum(axis=0)
     zero = diag == 0.0
-    range_ok = ~np.any(zero & (vectors != 0.0), axis=1)
-    terms = np.where(zero, 0.0, vectors**2 / np.where(zero, 1.0, diag))
+    if zero.any():
+        # Every square in a zero column is 0, so dividing it by 1 leaves it 0.
+        range_ok = ~np.any(zero & (vectors != 0.0), axis=1)
+        diag = np.where(zero, 1.0, diag)
+    else:
+        range_ok = np.ones(vectors.shape[0], dtype=bool)
+    np.divide(terms, diag, out=terms)
     return terms.sum(axis=1), range_ok
 
 

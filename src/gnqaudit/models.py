@@ -159,33 +159,70 @@ def loss(spec: ModelSpec, params: np.ndarray, features: np.ndarray, target) -> f
 
 
 def gradient_all(
-    spec: ModelSpec, params: np.ndarray, features: np.ndarray, targets: np.ndarray
+    spec: ModelSpec,
+    params: np.ndarray,
+    features: np.ndarray,
+    targets: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact per-example loss gradients, one row per example, shape (N, n_params)."""
+    """Exact per-example loss gradients, one row per example, shape (N, n_params).
+
+    out, if given, is a C-contiguous float64 (N, n_params) array that receives
+    the gradients and is returned; every entry is the same float operation as
+    without it, so a caller can reuse one buffer across parameter vectors.
+    """
     params = np.asarray(params, dtype=np.float64)
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     _check_shapes(spec, params, x)
     n = x.shape[0]
+    if out is None:
+        out = np.empty((n, spec.n_params))
+    elif (
+        out.shape != (n, spec.n_params)
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise ShapeError(
+            f"out must be a C-contiguous float64 array of shape ({n}, {spec.n_params}), "
+            f"got {out.dtype} {out.shape}"
+        )
     if spec.kind is ModelKind.LINEAR2D:
         w, b = params
         r = np.asarray(targets, dtype=np.float64) - (w * x[:, 0] + b)
-        return np.stack([-r * x[:, 0], -r], axis=1)
+        out[:, 0] = -r * x[:, 0]
+        out[:, 1] = -r
+        return out
     y = _class_targets(spec, targets)
     rows = np.arange(n)
     if spec.kind is ModelKind.LOGISTIC:
         wmat, bvec = _unpack_logistic(spec, params)
+        c, d = wmat.shape
         p = np.exp(_log_softmax(x @ wmat.T + bvec))
         p[rows, y] -= 1.0  # dlogits = softmax - onehot
-        dw = np.einsum("nc,nd->ncd", p, x).reshape(n, -1)
-        return np.concatenate([dw, p], axis=1)
+        np.einsum("nc,nd->ncd", p, x, out=_block(out, 0, c, d))
+        out[:, c * d :] = p
+        return out
     w1, b1, w2, b2 = _unpack_mlp(spec, params)
+    h, d = w1.shape
+    c = w2.shape[0]
     a = np.tanh(x @ w1.T + b1)
     p = np.exp(_log_softmax(a @ w2.T + b2))
     p[rows, y] -= 1.0
     d1 = (p @ w2) * (1.0 - a**2)
-    dw1 = np.einsum("nh,nd->nhd", d1, x).reshape(n, -1)
-    dw2 = np.einsum("nc,nh->nch", p, a).reshape(n, -1)
-    return np.concatenate([dw1, d1, dw2, p], axis=1)
+    o = h * d
+    np.einsum("nh,nd->nhd", d1, x, out=_block(out, 0, h, d))
+    out[:, o : o + h] = d1
+    o += h
+    np.einsum("nc,nh->nch", p, a, out=_block(out, o, c, h))
+    out[:, o + c * h :] = p
+    return out
+
+
+def _block(out: np.ndarray, start: int, rows: int, cols: int) -> np.ndarray:
+    """Columns start .. start + rows * cols of out, viewed as (N, rows, cols) without a copy."""
+    view = out[:, start : start + rows * cols]
+    view.shape = (out.shape[0], rows, cols)  # raises rather than copy
+    return view
 
 
 def per_example_gradient(spec: ModelSpec, params: np.ndarray, features: np.ndarray, target) -> np.ndarray:

@@ -14,8 +14,10 @@ import dataclasses
 import datetime
 import enum
 import hashlib
+import itertools
 import json
 from collections import Counter
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -105,19 +107,36 @@ def write_scores_csv(path: str | Path, record: AuditRecord) -> Path:
     return path
 
 
-def write_gradients_csv(path: str | Path, per_iteration: dict[int, np.ndarray]) -> Path:
-    """Dump per-example gradient rows; keys are iterations, values (N, Np)."""
-    dims = {mat.shape[1] for mat in per_iteration.values()}
-    if len(dims) != 1:
-        raise ValueError("all gradient matrices must share the parameter dimension")
-    n_params = dims.pop()
-    header = ["iteration", "example_id"] + [f"g_{p}" for p in range(n_params)]
-    rows = [
-        [it, ex] + [repr(float(v)) for v in mat[ex]]
-        for it, mat in sorted(per_iteration.items())
-        for ex in range(mat.shape[0])
-    ]
-    return _write_rows(path, header, rows)
+def write_gradients_csv(
+    path: str | Path, per_iteration: dict[int, np.ndarray] | Iterable[tuple[int, np.ndarray]]
+) -> Path:
+    """Dump per-example gradient rows, one (N, Np) matrix per iteration.
+
+    per_iteration is a dict keyed by iteration or (iteration, matrix) pairs in
+    ascending iteration order. Pairs are written as they arrive, so a caller
+    may pass a generator that refills one buffer for every iteration. Rows
+    are formatted directly: no field (integers, float reprs) needs quoting.
+    """
+    pairs = iter(sorted(per_iteration.items()) if isinstance(per_iteration, dict) else per_iteration)
+    first = next(pairs, None)
+    if first is None:
+        raise ValueError("no gradient matrices to write")
+    n_params = first[1].shape[1]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(["iteration", "example_id"] + [f"g_{p}" for p in range(n_params)]) + "\n")
+        previous = None
+        for it, mat in itertools.chain([first], pairs):
+            if mat.shape[1] != n_params:
+                raise ValueError("all gradient matrices must share the parameter dimension")
+            if previous is not None and it <= previous:
+                raise ValueError(f"gradient iterations must ascend, got {it} after {previous}")
+            previous = it
+            fh.write("".join(
+                [f"{it},{ex}," + ",".join(map(repr, row)) + "\n" for ex, row in enumerate(mat.tolist())]
+            ))
+    return path
 
 
 def write_attack_csv(path: str | Path, attack: AttackResult) -> Path:

@@ -38,6 +38,7 @@ import dataclasses
 import enum
 import math
 import typing
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass
 from functools import lru_cache
 
@@ -268,6 +269,19 @@ def draw_indicators(cfg: SamplingConfig, iteration: int) -> IndicatorDraw:
     u = rng.random(cfg.n_total)
     m = np.where(t == 1, (u < cfg.batch_size / cfg.n_train).astype(np.uint8), 0).astype(np.uint8)
     return IndicatorDraw(t=t, m=m)
+
+
+def batch_indices(cfg: SamplingConfig) -> Iterator[np.ndarray]:
+    """Each iteration's realized batch, ascending, for iterations 0 .. n_iters - 1.
+
+    Yields draw_indicators(cfg, i).batch_indices from the same streams,
+    without building the two indicator arrays at every step.
+    """
+    members = np.flatnonzero(train_indicator(cfg))
+    rate = cfg.batch_size / cfg.n_train
+    for i in range(cfg.n_iters):
+        u = stream(cfg.seed, _STEP_TAG, i).random(cfg.n_total)
+        yield members[u[members] < rate]
 
 
 def indicator_moments(cfg: SamplingConfig) -> IndicatorMoments:

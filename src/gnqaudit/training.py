@@ -15,11 +15,14 @@ An audit walks recorded parameter vectors, recomputes every example's
 gradient there, scores uniqueness in the requested mode, and converts all
 the scores into leakage bits and Fano floors in one elementwise pass.
 Storing parameters and recomputing gradients keeps memory at
-O(N_p * n_iters + N * N_p) instead of O(N * n_iters * N_p).
+O(N_p * n_iters + N * N_p) instead of O(N * n_iters * N_p); the CLI's
+gradient dump recomputes and writes one iteration's matrix at a time, so the
+bound holds for it too.
 
 A checkpoint stores parameters only. Training membership and every
 iteration's batch are redrawn from the sampling config's counter-based
-streams (`draw_indicators`), so the seed is their one source of truth.
+streams (`draw_indicators`; `batch_indices` yields the same batches in
+order), so the seed is their one source of truth.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .data import Dataset
 from .errors import CapacityError, ConfigurationError, DivergenceError, ShapeError
 from .geometry import GradientSet, GramMode, SpectrumHealth, diagonal_scores, loo_scores
 from .models import ModelSpec, gradient_all, init_params
-from .sampling import SamplingConfig, draw_indicators, train_indicator
+from .sampling import SamplingConfig, batch_indices, train_indicator
 
 TRAJECTORY_FORMAT_VERSION = 3
 
@@ -138,10 +141,9 @@ def train(cfg: SamplingConfig, model: ModelSpec, data: Dataset) -> TrainingTraje
     params = init_params(model, cfg.seed)
     trajectory = np.empty((cfg.n_iters + 1, model.n_params))
     trajectory[0] = params
-    for i in range(cfg.n_iters):
-        members = draw_indicators(cfg, i).batch_indices
-        # Overflow on the way to divergence is expected and raised, not warned.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow on the way to divergence is expected and raised, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, members in enumerate(batch_indices(cfg)):
             if members.size:
                 grads = gradient_all(
                     model, params, data.features[members], data.targets[members]
@@ -152,9 +154,9 @@ def train(cfg: SamplingConfig, model: ModelSpec, data: Dataset) -> TrainingTraje
             else:
                 g_hat = np.zeros(model.n_params)
             params = params - cfg.learning_rate * g_hat
-        if not np.all(np.isfinite(params)):
-            raise DivergenceError(f"non-finite parameters after iteration {i}", iteration=i)
-        trajectory[i + 1] = params
+            if not np.all(np.isfinite(params)):
+                raise DivergenceError(f"non-finite parameters after iteration {i}", iteration=i)
+            trajectory[i + 1] = params
     return TrainingTrajectory(
         cfg=cfg,
         model=model,
@@ -193,7 +195,10 @@ def audit(
 
     FULL_EXACT scores with `loo_scores`, DIAGONAL with `diagonal_scores`;
     either way each example is scored against the gradients of the whole
-    pool.
+    pool. Every audited iteration's gradients are written into one (N, N_p)
+    buffer allocated per audit, and diagonal mode squares them into one
+    scratch array of the same shape; neither is reallocated per iteration,
+    and the scores are copied out before the next iteration overwrites them.
     """
     if len(data) != traj.cfg.n_total:
         raise ConfigurationError(
@@ -211,19 +216,21 @@ def audit(
     range_ok = np.zeros((len(iters), n), dtype=bool)
     fallbacks: dict[int, dict[str, int]] = {}
     spectra: dict[int, SpectrumHealth] = {}
+    grads = np.empty((n, traj.model.n_params))
+    work = None if exact else np.empty_like(grads)
     for row, i in enumerate(iters):
+        gradient_all(
+            traj.model, traj.params_per_iter[i], data.features, data.targets, out=grads
+        )
         # GradientSet rejects non-finite gradients from a corrupt checkpoint.
-        grads = GradientSet(
-            iteration=i,
-            vectors=gradient_all(traj.model, traj.params_per_iter[i], data.features, data.targets),
-        ).vectors
+        GradientSet(iteration=i, vectors=grads)
         if exact:
             values[row], range_ok[row], reasons, spectra[i] = loo_scores(grads, tol)
             names, counts = np.unique(reasons[reasons != ""], return_counts=True)
             if names.size:
                 fallbacks[i] = dict(zip(names.tolist(), counts.tolist()))
         else:
-            values[row], range_ok[row] = diagonal_scores(grads)
+            values[row], range_ok[row] = diagonal_scores(grads, work)
     prior = prior_entropy(traj.cfg.n_train, traj.cfg.n_total)
     bits = per_iteration_leakage(values, traj.cfg)
     total, fano = fano_chain(prior, bits)

@@ -20,7 +20,7 @@ from gnqaudit import (
     success_vs_gnq,
     train,
 )
-from gnqaudit.attack import AttackResult, rankdata, spearman
+from gnqaudit.attack import AttackResult, _oracle_threshold, rankdata, spearman
 from gnqaudit.bounds import fano_error_bound
 from gnqaudit.training import AuditCadence, AuditRecord
 from oracles import ref_auc
@@ -159,6 +159,53 @@ def test_loss_attack_perfectly_separable_scores():
     res = loss_attack(spec, params, ds)
     assert res.auc == 1.0
     assert np.all(res.per_example_success == 1)
+
+
+def _threshold_by_scan(scores, labels):
+    """The oracle threshold by one pass over the labels per candidate, as first written."""
+    labels = np.asarray(labels, dtype=bool)
+    n_pos = labels.sum()
+    n_neg = labels.size - n_pos
+    best_tau, best_bacc = np.inf, -1.0
+    for tau in np.concatenate([[np.inf], np.unique(scores)[::-1]]):
+        pred = scores >= tau
+        bacc = 0.5 * ((pred & labels).sum() / n_pos + (~pred & ~labels).sum() / n_neg)
+        if bacc > best_bacc:
+            best_bacc, best_tau = bacc, tau
+    return float(best_tau)
+
+
+def _threshold_cases():
+    rng = np.random.default_rng(21)
+    for k in range(40):
+        n = int(rng.integers(2, 60))
+        # Few distinct values, so ties within and across the two groups.
+        scores = rng.integers(0, int(rng.integers(1, 8)), size=n) * 0.25 - 1.0
+        if k % 3 == 0:
+            scores = rng.normal(size=n)
+        if k % 5 == 1:
+            scores[int(rng.integers(n))] = np.nan
+        if k % 7 == 2:
+            scores[int(rng.integers(n))] = np.inf
+        yield scores, rng.integers(0, 2, size=n).astype(bool)
+    yield np.full(6, 0.5), np.array([1, 0, 1, 0, 0, 1], dtype=bool)  # all equal
+    yield np.array([np.nan, 1.0, 2.0, np.nan]), np.array([1, 1, 0, 0], dtype=bool)
+    yield np.array([3.0, 1.0, 3.0, 2.0]), np.array([1, 0, 1, 1], dtype=bool)
+
+
+def test_oracle_threshold_equals_the_candidate_scan():
+    for scores, labels in _threshold_cases():
+        if labels.all() or not labels.any():
+            continue
+        assert _oracle_threshold(scores, labels) == _threshold_by_scan(scores, labels), (scores, labels)
+
+
+def test_oracle_threshold_without_both_labels_predicts_nobody():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # 0 / 0 balanced accuracies
+        for labels in (np.ones(4, dtype=bool), np.zeros(4, dtype=bool)):
+            scores = np.array([0.1, 0.4, 0.4, 2.0])
+            assert _oracle_threshold(scores, labels) == _threshold_by_scan(scores, labels) == np.inf
 
 
 # success-vs-uniqueness curve ------------------------------------------------------

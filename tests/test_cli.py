@@ -10,7 +10,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gnqaudit.cli import main
+from gnqaudit.cli import RunConfig, main
+from gnqaudit.models import gradient_all
+from gnqaudit.reports import write_gradients_csv
+from gnqaudit.training import AuditCadence, audited_iterations, load_trajectory
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "gnqaudit" / "schemas"
 SCHEMA = json.loads((SCHEMAS / "report.schema.json").read_text())
@@ -145,6 +148,22 @@ def test_audit_dump_gradients_writes_csv(tmp_path):
     lines = (tmp_path / "run" / "gradients.csv").read_text().splitlines()
     assert lines[0] == "iteration,example_id,g_0,g_1"
     assert len(lines) > 7
+
+
+def test_audit_dump_streams_each_iteration_from_one_buffer(tmp_path):
+    # The dump refills one buffer per audited iteration; every iteration's
+    # rows must still match its own freshly computed matrix.
+    cfgp = outlier_audit_config(tmp_path)
+    assert main(["train", "--config", cfgp]) == 0
+    assert main(["audit", "--config", cfgp, "--dump-gradients"]) == 0
+    out = tmp_path / "run"
+    traj = load_trajectory(out / "trajectory.json")
+    ds = RunConfig.from_json_dict(json.loads(Path(cfgp).read_text()), None, None).build_dataset()
+    its = audited_iterations(traj.cfg, AuditCadence.EVERY_EPOCH)
+    assert len(its) > 1
+    fresh = {it: gradient_all(traj.model, traj.params_per_iter[it], ds.features, ds.targets) for it in its}
+    write_gradients_csv(tmp_path / "fresh.csv", fresh)
+    assert (out / "gradients.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_audit_reruns_byte_identical_with_timestamps_in_sidecar(tmp_path):

@@ -10,6 +10,7 @@ from gnqaudit import (
     ConfigurationError,
     GradientSet,
     InsufficientDataError,
+    ShapeError,
     diagonal_scores,
     gnq_exact,
     leakage_growth_factor,
@@ -463,6 +464,34 @@ def test_diagonal_equals_exact_for_axis_aligned():
     for j in range(4):
         e = gnq_exact(gs(g), j)
         assert values[j] / (1.0 - values[j]) == pytest.approx(e.value, rel=1e-10)
+
+
+@pytest.mark.parametrize("zero_column", [False, True])
+def test_diagonal_with_work_is_bitwise_the_fresh_call(zero_column):
+    rng = np.random.default_rng(12)
+    work = np.full((9, 6), np.nan)
+    for _ in range(3):  # the scratch keeps the previous call's squares
+        g = rng.normal(size=(9, 6)) * rng.uniform(0.1, 10.0, size=6)
+        if zero_column:
+            # Column 2's squares underflow, so G_2 = 0 and row 4 is out of range.
+            g[:, 2] = 0.0
+            g[4, 2] = 1e-170
+        values, range_ok = diagonal_scores(g)
+        got_values, got_ok = diagonal_scores(g, work)
+        assert got_values.tobytes() == values.tobytes()
+        assert np.array_equal(got_ok, range_ok)
+        assert range_ok.tolist() == [not zero_column or j != 4 for j in range(9)]
+        # The formula the scores were defined by, evaluated without shortcuts.
+        diag = np.sum(g**2, axis=0)
+        zero = diag == 0.0
+        terms = np.where(zero, 0.0, g**2 / np.where(zero, 1.0, diag))
+        assert values.tobytes() == terms.sum(axis=1).tobytes()
+        assert np.array_equal(range_ok, ~np.any(zero & (g != 0.0), axis=1))
+
+
+def test_diagonal_rejects_an_unfit_work_array():
+    with pytest.raises(ShapeError, match="work must be"):
+        diagonal_scores(np.ones((3, 2)), np.empty((2, 3)))
 
 
 # pdet ------------------------------------------------------------------------

@@ -130,6 +130,31 @@ def test_gradient_all_matches_per_example():
         assert np.allclose(mat[i], row, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("spec", [LIN, LOG, MLP], ids=lambda s: s.kind.value)
+def test_gradient_all_into_a_buffer_is_bitwise_the_fresh_array(spec):
+    rng = np.random.default_rng(4)
+    feats = rng.normal(size=(7, spec.input_dim))
+    targs = rng.normal(size=7) if spec is LIN else rng.integers(spec.n_classes, size=7)
+    buf = np.full((7, spec.n_params), np.nan)
+    for _ in range(3):  # stale contents from the previous parameters must not leak
+        params = rng.normal(size=spec.n_params)
+        fresh = gradient_all(spec, params, feats, targs)
+        assert gradient_all(spec, params, feats, targs, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty((7, MLP.n_params + 1)), np.empty((7, MLP.n_params), dtype=np.float32),
+     np.empty((MLP.n_params, 7)).T],
+    ids=["shape", "dtype", "fortran"],
+)
+def test_gradient_all_rejects_an_unfit_buffer(out):
+    feats = np.zeros((7, MLP.input_dim))
+    with pytest.raises(ShapeError, match="out must be"):
+        gradient_all(MLP, np.zeros(MLP.n_params), feats, np.zeros(7, dtype=int), out=out)
+
+
 # init ----------------------------------------------------------------------------
 
 

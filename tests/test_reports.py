@@ -1,5 +1,6 @@
 """Report serialization: canonical form, hashing, schema conformance, CSV writers."""
 
+import csv
 import dataclasses
 import enum
 import json
@@ -254,6 +255,38 @@ def test_gradients_csv_layout(tmp_path):
     assert lines[0] == "iteration,example_id,g_0,g_1,g_2"
     assert len(lines) == 1 + 4
     assert lines[1].startswith("0,0,")
+
+
+def test_gradients_csv_streamed_pairs_write_the_dict_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    mats = {it: rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-20, 20, size=3) for it in (0, 3, 7)}
+    mats[3][1, 2] = -0.0
+    from_dict = write_gradients_csv(tmp_path / "dict.csv", mats).read_bytes()
+    buf = np.empty((4, 3))
+
+    def refill():  # one buffer, overwritten before each pair is handed on
+        for it in sorted(mats):
+            buf[...] = mats[it]
+            yield it, buf
+
+    assert write_gradients_csv(tmp_path / "stream.csv", refill()).read_bytes() == from_dict
+    # The csv module's layout, which the direct formatting must keep.
+    with open(tmp_path / "csv.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["iteration", "example_id", "g_0", "g_1", "g_2"])
+        writer.writerows(
+            [it, ex] + [repr(float(v)) for v in mat[ex]] for it, mat in sorted(mats.items()) for ex in range(4)
+        )
+    assert (tmp_path / "csv.csv").read_bytes() == from_dict
+
+
+def test_gradients_csv_refuses_descending_or_mixed_pairs(tmp_path):
+    with pytest.raises(ValueError, match="ascend"):
+        write_gradients_csv(tmp_path / "g.csv", [(2, np.ones((2, 3))), (1, np.ones((2, 3)))])
+    with pytest.raises(ValueError, match="parameter dimension"):
+        write_gradients_csv(tmp_path / "g.csv", [(1, np.ones((2, 3))), (2, np.ones((2, 4)))])
+    with pytest.raises(ValueError, match="no gradient"):
+        write_gradients_csv(tmp_path / "g.csv", {})
 
 
 def test_sweep_csv_one_row_per_fraction(tmp_path):

@@ -14,7 +14,7 @@ from gnqaudit import (
     enumerate_exact_moments,
     indicator_moments,
 )
-from gnqaudit.sampling import train_indicator
+from gnqaudit.sampling import batch_indices, train_indicator
 from oracles import enum_indicator_moments
 
 WOR = SamplingScheme.WITHOUT_REPLACEMENT
@@ -101,6 +101,22 @@ def test_draws_independent_of_call_order():
     backward = [draw_indicators(cfg, it).m.copy() for it in reversed(range(6))]
     for it in range(6):
         assert np.array_equal(forward[it], backward[5 - it])
+
+
+@pytest.mark.parametrize("scheme", [WOR, BER])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+def test_batch_generator_equals_the_indicator_draws(scheme, seed):
+    # n_train 3 of 8 with B = 1: about a third of the batches are empty.
+    for n, nt, b in [(30, 12, 5), (8, 3, 1), (5, 5, 5)]:
+        cfg = cfg_of(n, nt, b, scheme, seed=seed, n_iters=40)
+        batches = list(batch_indices(cfg))
+        assert len(batches) == cfg.n_iters
+        for it, got in enumerate(batches):
+            want = draw_indicators(cfg, it).batch_indices
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    empty = [got.size == 0 for got in batch_indices(cfg_of(8, 3, 1, scheme, seed=seed, n_iters=40))]
+    assert any(empty) and not all(empty)
 
 
 def test_monte_carlo_means_bernoulli():

@@ -16,6 +16,7 @@ from gnqaudit import (
     SamplingConfig,
     SamplingScheme,
     GradientSet,
+    diagonal_scores,
     gnq_exact,
     gradient_all,
     load_trajectory,
@@ -231,6 +232,35 @@ def test_every_mode_matches_per_example_references(mode):
     flagged = [(it, j) for row, it in enumerate(rec.audited_iterations) for j in range(30) if not want_ok[row, j]]
     assert rec.range_violations == tuple(flagged)
     np.testing.assert_allclose(rec.cumulative_gnq, want_values.sum(axis=0), rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("hidden_dim", [3, 8])
+@pytest.mark.parametrize("mode", list(GramMode))
+def test_audit_reusing_its_buffers_equals_fresh_gradients(mode, hidden_dim):
+    # The audit refills one gradient buffer (and one scratch array) per
+    # iteration; recompute each iteration from its own fresh arrays. At width
+    # 8 every exact row falls back, so fallbacks and spectra are populated.
+    spec = ModelSpec(kind=ModelKind.MLP, input_dim=4, hidden_dim=hidden_dim, n_classes=2, init="seeded_gaussian")
+    ds = make_blobs([15, 15], input_dim=4, center_distance=2.0, spread=1.0, seed=0)
+    traj = train(cfg_of(30, 20, 5, 12, lr=0.5, seed=1), spec, ds)
+    rec = audit(traj, ds, mode=mode, cadence=AuditCadence.EVERY_ITERATION)
+    assert len(rec.audited_iterations) == 12
+    fallbacks, spectra = {}, {}
+    for row, it in enumerate(rec.audited_iterations):
+        grads = gradient_all(spec, traj.params_per_iter[it], ds.features, ds.targets)
+        if mode is GramMode.FULL_EXACT:
+            values, range_ok, reasons, spectra[it] = loo_scores(grads, rec.tol)
+            names, counts = np.unique(reasons[reasons != ""], return_counts=True)
+            if names.size:
+                fallbacks[it] = dict(zip(names.tolist(), counts.tolist()))
+        else:
+            values, range_ok = diagonal_scores(grads)
+        assert rec.values[row].tobytes() == values.tobytes()
+        assert np.array_equal(rec.range_ok[row], range_ok)
+    assert rec.fallbacks == fallbacks
+    assert rec.spectra == spectra
+    if mode is GramMode.FULL_EXACT and hidden_dim == 8:
+        assert fallbacks
 
 
 def test_capacity_error_in_exact_mode_suggests_diagonal():
