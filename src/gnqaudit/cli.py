@@ -34,6 +34,7 @@ from .bounds import (
     per_iteration_leakage,
     prior_entropy,
 )
+from .canonical import write_json
 from .data import (
     Dataset,
     load_csv_dataset,
@@ -51,7 +52,6 @@ from .reports import (
     attack_report,
     audit_health,
     audit_report,
-    canonical_json,
     defense_report,
     finalize_report,
     oracle_report,
@@ -267,9 +267,7 @@ def _build_dataset(cfg: RunConfig) -> Dataset:
 
 def _write_provenance(cfg: RunConfig) -> None:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    (cfg.output_dir / "run_config.json").write_text(
-        canonical_json(cfg.effective()), encoding="utf-8"
-    )
+    write_json(cfg.output_dir / "run_config.json", cfg.effective())
 
 
 def _obtain_trajectory(cfg: RunConfig, args: argparse.Namespace):

@@ -2,9 +2,12 @@
 
 Reruns with the same config and seed must produce byte-identical artifacts,
 so the main report files contain no timestamps, no environment strings, and
-no dict-order dependence: JSON is written with sorted keys and floats in
-round-trip repr form, CSVs with LF newlines. Wall-clock metadata goes to a
-`.meta.json` sidecar next to each report.
+no dict-order dependence: JSON is written in the one canonical form that
+`canonical` defines (sorted keys, floats in round-trip repr form), CSVs with
+LF newlines. Reports and sidecars are streamed to a temporary file that
+replaces the target only when complete, so a failed write leaves no partial
+report. Wall-clock metadata goes to a `.meta.json` sidecar next to each
+report.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
-import enum
 import hashlib
 import itertools
 import json
@@ -24,31 +26,15 @@ import numpy as np
 
 from ._version import __version__
 from .attack import AttackResult, BinnedCurve
+from .canonical import canonical_json, json_default, write_json  # noqa: F401 (canonical_json re-exported)
 from .defense import DefenseReport
 from .oracle import OracleReport
 from .training import AuditRecord
 
 
-def _json_default(obj):
-    """json's hook for what it cannot write itself: enums and numpy values.
-
-    np.float64 subclasses float, so json writes it with float's repr and never
-    asks here; tuples are written as lists.
-    """
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
-
-
-def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
-
-
 def config_hash(config: dict) -> str:
     """Stable hash of a config dict; key order and whitespace do not matter."""
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=_json_default)
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=json_default)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -69,12 +55,11 @@ def write_report(path: str | Path, payload: dict, meta: dict | None = None) -> P
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(payload), encoding="utf-8")
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
+    write_json(path, payload)
     side = dict(meta or {})
     side["report"] = path.name
     side["written_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    sidecar.write_text(canonical_json(side), encoding="utf-8")
+    write_json(path.with_suffix(path.suffix + ".meta.json"), side)
     return path
 
 

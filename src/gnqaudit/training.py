@@ -17,7 +17,8 @@ the scores into leakage bits and Fano floors in one elementwise pass.
 Storing parameters and recomputing gradients keeps memory at
 O(N_p * n_iters + N * N_p) instead of O(N * n_iters * N_p); the CLI's
 gradient dump recomputes and writes one iteration's matrix at a time, so the
-bound holds for it too.
+bound holds for it too, and so does writing the checkpoint, which streams
+the parameter array row by row and holds the array plus one row's text.
 
 A checkpoint stores parameters only. Training membership and every
 iteration's batch are redrawn from the sampling config's counter-based
@@ -37,6 +38,7 @@ import numpy as np
 
 from . import geometry
 from .bounds import FanoBound, fano_chain, per_iteration_leakage, prior_entropy
+from .canonical import write_json
 from .data import Dataset
 from .errors import CapacityError, ConfigurationError, DivergenceError, ShapeError
 from .geometry import GradientSet, GramMode, SpectrumHealth, diagonal_scores, loo_scores
@@ -252,15 +254,17 @@ def audit(
 
 
 def save_trajectory(path: str | Path, traj: TrainingTrajectory) -> None:
-    """Write a replayable JSON checkpoint (floats via repr, bit-exact)."""
-    payload = {
+    """Write a replayable JSON checkpoint (floats via repr, bit-exact).
+
+    The parameters are streamed one row at a time; see canonical.write_json.
+    """
+    write_json(path, {
         "format_version": TRAJECTORY_FORMAT_VERSION,
         "sampling": traj.cfg.to_json_dict(),
         "model": traj.model.to_json_dict(),
-        "params_per_iter": [[float(v) for v in row] for row in traj.params_per_iter],
+        "params_per_iter": traj.params_per_iter,
         "dataset_sha256": traj.dataset_sha256,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _checkpoint_params(rows) -> np.ndarray:

@@ -10,6 +10,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gnqaudit import (
     Dataset,
@@ -23,6 +26,7 @@ from gnqaudit import (
     success_vs_gnq,
     train,
 )
+from gnqaudit.canonical import json_default, write_json
 from gnqaudit.cli import _DATASETS, AuditSettings
 from gnqaudit.defense import rank_examples, run_defense, run_defense_sweep
 from gnqaudit.oracle import run_oracle_checks
@@ -40,7 +44,7 @@ from gnqaudit.reports import (
     write_scores_csv,
     write_sweep_csv,
 )
-from gnqaudit.training import audit
+from gnqaudit.training import audit, save_trajectory
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "gnqaudit" / "schemas" / "report.schema.json"
 REPORT_SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -98,6 +102,79 @@ def test_numpy_and_enum_values_serialize_like_plain_python():
         canonical_json({"x": object()})
     with pytest.raises(TypeError):
         config_hash({"x": {1, 2}})
+
+
+class _Shade(enum.Enum):
+    DARK = "dark"
+    LEVEL = 3
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1e-5]),
+)
+_LEAVES = st.one_of(
+    _FLOATS,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    _FLOATS.map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.sampled_from([*_Shade, *GramMode]),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4), elements=_FLOATS),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)),
+    st.lists(_FLOATS, max_size=6),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(value=_PAYLOADS)
+@example(value={3: "a", 1.5: [], False: {"\x00\u00e9\U0001f600": {}}})
+@example(value=[1, 2.5, True, -0.0, 10**30, [0.5, float("nan")]])
+@settings(max_examples=300, deadline=None)
+def test_streamed_json_is_byte_identical_to_json_dumps(value):
+    payload = {"value": value}
+    expected = json.dumps(payload, sort_keys=True, indent=2, default=json_default) + "\n"
+    assert canonical_json(payload) == expected
+
+
+def test_write_json_leaves_no_partial_file(tmp_path):
+    target = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        write_json(target, {"a": list(range(1000)), "z": object()})
+    assert list(tmp_path.iterdir()) == []
+    write_json(target, {"a": [0.5]})
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    with pytest.raises(TypeError):
+        write_json(target, {"b": object()})
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert target.read_text(encoding="utf-8") == canonical_json({"a": [0.5]})
+
+
+def test_checkpoint_bytes_equal_the_nested_list_dump(tmp_path, small_run):
+    _, _, _, traj, _, _ = small_run
+    params = traj.params_per_iter.copy()
+    params[0, :2] = [-0.0, 1e16]
+    params[-1, :2] = [1e-5, 5e-324]
+    traj = dataclasses.replace(traj, params_per_iter=params)
+    path = tmp_path / "trajectory.json"
+    save_trajectory(path, traj)
+    old = {
+        "format_version": 3,
+        "sampling": traj.cfg.to_json_dict(),
+        "model": traj.model.to_json_dict(),
+        "params_per_iter": [[float(v) for v in row] for row in traj.params_per_iter],
+        "dataset_sha256": traj.dataset_sha256,
+    }
+    assert path.read_text() == json.dumps(old, indent=2, sort_keys=True) + "\n"
 
 
 def test_config_hash_shape_and_stability():

@@ -1,6 +1,7 @@
 """Trainer and audit loop: updates, replay, cadences, persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from gnqaudit import (
     train,
 )
 from gnqaudit.sampling import draw_indicators
-from gnqaudit.training import AuditCadence, audit, audited_iterations
+from gnqaudit.training import AuditCadence, TrainingTrajectory, audit, audited_iterations
 
 LIN = ModelSpec(kind=ModelKind.LINEAR2D, input_dim=1)
 
@@ -306,6 +307,22 @@ def test_saved_trajectory_bytes_are_stable(tmp_path):
     save_trajectory(p1, traj)
     save_trajectory(p2, traj)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_write_holds_about_one_row(tmp_path):
+    """The (401, 192) parameters are streamed: no document text, no nested list."""
+    model = ModelSpec(kind=ModelKind.MLP, input_dim=16, hidden_dim=10, n_classes=2)
+    params = np.random.default_rng(0).standard_normal((401, model.n_params))
+    traj = TrainingTrajectory(cfg_of(400, 200, 25, 400), model, params, "0" * 64)
+    path = tmp_path / "trajectory.json"
+    tracemalloc.start()
+    try:
+        save_trajectory(path, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_params == 192
+    assert peak < path.stat().st_size / 2
 
 
 def test_final_params_property():
