@@ -49,12 +49,10 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_TOL,
-    GnqScore,
     GradientSet,
     GramMode,
     diagonal_scores,
     gnq_exact,
-    leakage_growth_factor,
     loo_scores,
     pdet_rank_one,
 )

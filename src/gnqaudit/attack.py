@@ -50,10 +50,6 @@ class BinnedCurve:
     bin_mean_success: np.ndarray
     spearman: float
 
-    @property
-    def total_count(self) -> int:
-        return int(self.zero_count + self.bin_counts.sum())
-
 
 def rankdata(x: np.ndarray) -> np.ndarray:
     """1-based ranks of x; tied values share the mean of their positions.

@@ -1,5 +1,9 @@
 """Datasets: in-memory container, synthetic generators, and CSV round-trip.
 
+A `Dataset` is features, targets and an optional membership indicator, and
+nothing else: a run names its data by the config section that built it, and a
+checkpoint by the dataset's `sha256`.
+
 The CSV schema is a header row of feature columns followed by one target
 column (name configurable, default "target"). Floats are written with repr so
 a write -> read -> write cycle is byte-identical; integral class targets stay
@@ -26,7 +30,6 @@ class Dataset:
 
     features: np.ndarray
     targets: np.ndarray
-    name: str
     membership: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -61,12 +64,11 @@ class Dataset:
     def with_membership(self, membership: np.ndarray) -> "Dataset":
         return replace(self, membership=membership)
 
-    def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
             features=self.features[idx],
             targets=self.targets[idx],
-            name=name if name is not None else self.name,
             membership=None if self.membership is None else self.membership[idx],
         )
 
@@ -84,12 +86,7 @@ def make_outlier_regression_dataset() -> Dataset:
     """
     xs = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 5.0])
     ys = np.array([0.05, 0.46, 1.03, 1.45, 2.04, 2.47, 1.0])
-    return Dataset(
-        features=xs[:, None],
-        targets=ys,
-        name="outlier_regression: six near-collinear points on y=x plus one "
-        "high-leverage counter-rotating outlier at index 6",
-    )
+    return Dataset(features=xs[:, None], targets=ys)
 
 
 def make_blobs(
@@ -123,12 +120,7 @@ def make_blobs(
         center[c // 2] = (1.0 if c % 2 == 0 else -1.0) * center_distance / 2.0
         parts.append(center + spread * rng.standard_normal((size, input_dim)))
         labels.append(np.full(size, c, dtype=np.int64))
-    return Dataset(
-        features=np.concatenate(parts, axis=0),
-        targets=np.concatenate(labels),
-        name=f"blobs: {len(class_sizes)} classes, dim {input_dim}, "
-        f"centers {center_distance / 2:g} apart x2, spread {spread:g}, seed {seed}",
-    )
+    return Dataset(features=np.concatenate(parts, axis=0), targets=np.concatenate(labels))
 
 
 def make_linear_dataset(
@@ -146,11 +138,7 @@ def make_linear_dataset(
     rng = stream(seed, _DATA_TAG)
     x = rng.uniform(x_low, x_high, size=n_examples)
     y = slope * x + intercept + noise_scale * rng.standard_normal(n_examples)
-    return Dataset(
-        features=x[:, None],
-        targets=y,
-        name=f"linear: y={slope:g}x+{intercept:g}+N(0,{noise_scale:g}^2), seed {seed}",
-    )
+    return Dataset(features=x[:, None], targets=y)
 
 
 def save_csv_dataset(path: str | Path, ds: Dataset, target_column: str = "target") -> None:
@@ -211,4 +199,4 @@ def load_csv_dataset(path: str | Path, target_column: str = "target") -> Dataset
             targets = np.array([float(v) for v in raw_targets], dtype=np.float64)
         except ValueError as exc:
             raise ConfigurationError(f"{path}: non-numeric target: {exc}") from None
-    return Dataset(features=np.array(features), targets=targets, name=path.name)
+    return Dataset(features=np.array(features), targets=targets)

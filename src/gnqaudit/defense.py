@@ -83,9 +83,7 @@ def split_pool(data: Dataset, cfg: SamplingConfig) -> tuple[Dataset, Dataset]:
             f"pool takes n_total={cfg.n_total}"
         )
     order = stream(cfg.seed, _SPLIT_TAG).permutation(len(data))
-    pool = data.subset(order[: cfg.n_total], name=data.name + " [pool]")
-    held_out = data.subset(order[cfg.n_total :], name=data.name + " [held-out]")
-    return pool, held_out
+    return data.subset(order[: cfg.n_total]), data.subset(order[cfg.n_total :])
 
 
 def _run_one(

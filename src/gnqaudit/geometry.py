@@ -66,10 +66,9 @@ conditioning does (see the bound in `downdate_guard`). range_ok is
 residual <= c_j. A row that falls back is recomputed from the pseudoinverse
 of its rebuilt S_j.
 
-The module also carries the scalar helpers used by the leakage bound:
-`pdet_rank_one` for pdet(A + q q^T) = pdet(A) (1 + q^T A^+ q) with q in
-range(A), and `leakage_growth_factor` f(x) = (1 + c1^2 x) / sqrt(1 + c2^2 x),
-strictly increasing iff 2 c1^2 > c2^2.
+The module also carries the pseudo-determinant helpers used by the leakage
+bound: `pdet_rank_one` for pdet(A + q q^T) = pdet(A) (1 + q^T A^+ q) with q
+in range(A), and `pdet_and_rank`.
 """
 
 from __future__ import annotations
@@ -138,16 +137,6 @@ class SpectrumHealth:
     null: int  # eigenvalues at or below eigh's backward error, taken as zero
     near_cutoff: tuple[float, ...]  # the others, as ratios to the cutoff
     secular: int  # rows scored through roots of the secular equation
-
-
-@dataclass(frozen=True)
-class GnqScore:
-    """One example's exact score and range flag, from `gnq_exact`."""
-
-    example: int
-    iteration: int
-    value: float
-    range_ok: bool
 
 
 def _psd_eig(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -335,11 +324,11 @@ def downdate_guard(
     return values, range_ok, reasons, health
 
 
-def gnq_exact(grads: GradientSet, j: int, tol: float = DEFAULT_TOL) -> GnqScore:
-    """Exact uniqueness score of example j against all other examples.
+def gnq_exact(grads: GradientSet, j: int, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
+    """Exact uniqueness score of example j against all other examples, and its range flag.
 
-    Builds S = sum_{k != j} g_k g_k^T explicitly and evaluates g_j^T S^+ g_j.
-    An all-zero S with nonzero g_j yields value 0 with range_ok False.
+    Builds S = sum_{k != j} g_k g_k^T explicitly and returns (g_j^T S^+ g_j,
+    range_ok). An all-zero S with nonzero g_j yields (0.0, False).
     """
     if tol <= 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
@@ -347,8 +336,7 @@ def gnq_exact(grads: GradientSet, j: int, tol: float = DEFAULT_TOL) -> GnqScore:
         raise InsufficientDataError("need at least 2 examples for a leave-one-out score")
     if not 0 <= j < grads.n_examples:
         raise ConfigurationError(f"example index {j} out of range")
-    value, range_ok = _leave_one_out(grads.vectors, j, tol)
-    return GnqScore(example=j, iteration=grads.iteration, value=value, range_ok=range_ok)
+    return _leave_one_out(grads.vectors, j, tol)
 
 
 def _leave_one_out(rows: np.ndarray, j: int, tol: float) -> tuple[float, bool]:
@@ -430,11 +418,3 @@ def pdet_and_rank(s: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[float, int]:
         return 1.0, 0
     return float(np.prod(w)), int(w.size)
 
-
-def leakage_growth_factor(x: float, c1_sq: float, c2_sq: float) -> float:
-    """f(x) = (1 + c1^2 x) / sqrt(1 + c2^2 x); strictly increasing iff 2 c1^2 > c2^2."""
-    if x < 0:
-        raise ConfigurationError(f"x must be nonnegative, got {x}")
-    if c1_sq <= 0 or c2_sq <= 0:
-        raise ConfigurationError("c1_sq and c2_sq must be positive")
-    return (1.0 + c1_sq * x) / np.sqrt(1.0 + c2_sq * x)

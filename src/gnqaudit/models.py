@@ -114,6 +114,16 @@ def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
     return w1, b1, w2, b2
 
 
+def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Classifier logits of rows x, and the mlp's tanh hidden layer (None for logistic)."""
+    if spec.kind is ModelKind.LOGISTIC:
+        wmat, bvec = _unpack_logistic(spec, params)
+        return x @ wmat.T + bvec, None
+    w1, b1, w2, b2 = _unpack_mlp(spec, params)
+    hidden = np.tanh(x @ w1.T + b1)
+    return hidden @ w2.T + b2, hidden
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -143,13 +153,7 @@ def loss_all(spec: ModelSpec, params: np.ndarray, features: np.ndarray, targets:
         r = np.asarray(targets, dtype=np.float64) - (w * x[:, 0] + b)
         return 0.5 * r**2
     y = _class_targets(spec, targets)
-    if spec.kind is ModelKind.LOGISTIC:
-        wmat, bvec = _unpack_logistic(spec, params)
-        logits = x @ wmat.T + bvec
-    else:
-        w1, b1, w2, b2 = _unpack_mlp(spec, params)
-        logits = np.tanh(x @ w1.T + b1) @ w2.T + b2
-    logp = _log_softmax(logits)
+    logp = _log_softmax(_logits(spec, params, x)[0])
     return -logp[np.arange(x.shape[0]), y]
 
 
@@ -193,21 +197,16 @@ def gradient_all(
         out[:, 1] = -r
         return out
     y = _class_targets(spec, targets)
-    rows = np.arange(n)
-    if spec.kind is ModelKind.LOGISTIC:
-        wmat, bvec = _unpack_logistic(spec, params)
-        c, d = wmat.shape
-        p = np.exp(_log_softmax(x @ wmat.T + bvec))
-        p[rows, y] -= 1.0  # dlogits = softmax - onehot
+    logits, a = _logits(spec, params, x)
+    p = np.exp(_log_softmax(logits))
+    p[np.arange(n), y] -= 1.0  # dlogits = softmax - onehot
+    c, d = spec.n_classes, spec.input_dim
+    if a is None:
         np.einsum("nc,nd->ncd", p, x, out=_block(out, 0, c, d))
         out[:, c * d :] = p
         return out
-    w1, b1, w2, b2 = _unpack_mlp(spec, params)
-    h, d = w1.shape
-    c = w2.shape[0]
-    a = np.tanh(x @ w1.T + b1)
-    p = np.exp(_log_softmax(a @ w2.T + b2))
-    p[rows, y] -= 1.0
+    h = spec.hidden_dim
+    w2 = _unpack_mlp(spec, params)[2]
     d1 = (p @ w2) * (1.0 - a**2)
     o = h * d
     np.einsum("nh,nd->nhd", d1, x, out=_block(out, 0, h, d))
@@ -237,13 +236,7 @@ def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.nda
     _check_shapes(spec, params, x)
     if spec.kind is ModelKind.LINEAR2D:
         return params[0] * x[:, 0] + params[1]
-    if spec.kind is ModelKind.LOGISTIC:
-        wmat, bvec = _unpack_logistic(spec, params)
-        logits = x @ wmat.T + bvec
-    else:
-        w1, b1, w2, b2 = _unpack_mlp(spec, params)
-        logits = np.tanh(x @ w1.T + b1) @ w2.T + b2
-    return logits.argmax(axis=1)
+    return _logits(spec, params, x)[0].argmax(axis=1)
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, features: np.ndarray, targets: np.ndarray) -> float:

@@ -428,7 +428,7 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
         grads, cfg, j = _random_instance(rng, int(rng.integers(4, 9)), 3, ber)
         triple = closed_form_covariances(grads, cfg, j)
         gauss = gaussian_leakage_from_covariances(triple, cfg)
-        gnq = gnq_exact(grads, j, 1e-10).value
+        gnq, _ = gnq_exact(grads, j, 1e-10)
         kappa_factor = 1.0 if corrupt != "kappa" else 1.05
         direct = per_iteration_leakage(gnq * kappa_factor, cfg)
         worst = max(worst, abs(gauss.bits - direct))

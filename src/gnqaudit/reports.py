@@ -12,7 +12,6 @@ report.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import datetime
 import hashlib
@@ -26,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .attack import AttackResult, BinnedCurve
-from .canonical import canonical_json, json_default, write_json  # noqa: F401 (canonical_json re-exported)
+from .canonical import json_default, write_json
 from .defense import DefenseReport
 from .oracle import OracleReport
 from .training import AuditRecord
@@ -63,54 +62,45 @@ def write_report(path: str | Path, payload: dict, meta: dict | None = None) -> P
     return path
 
 
-def _write_rows(path: str | Path, header: list[str], rows) -> Path:
+def _write_csv(path: str | Path, header: list[str], chunks: Iterable[str]) -> Path:
+    """Write the header line, then each chunk of formatted lines as it arrives.
+
+    Rows are formatted by the callers, not through csv.writer: no field of
+    gnqaudit's tables (integers, mode names, float reprs, 0/1) needs quoting.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for chunk in chunks:
+            fh.write(chunk)
     return path
 
 
 def write_scores_csv(path: str | Path, record: AuditRecord) -> Path:
-    """One row per audited iteration and example.
-
-    Rows are formatted directly, not through csv.writer: no field (integers,
-    the mode name, float reprs, 0/1) ever needs quoting.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """One row per audited iteration and example."""
     mode = record.mode.value
     flags = record.range_ok.astype(np.uint8).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("iteration,example_id,mode,gnq,range_ok\n")
-        for it, values, oks in zip(record.audited_iterations, record.values.tolist(), flags):
-            fh.write("".join(
-                [f"{it},{ex},{mode},{value!r},{ok}\n" for ex, (value, ok) in enumerate(zip(values, oks))]
-            ))
-    return path
+    return _write_csv(path, ["iteration", "example_id", "mode", "gnq", "range_ok"], (
+        "".join([f"{it},{ex},{mode},{value!r},{ok}\n" for ex, (value, ok) in enumerate(zip(values, oks))])
+        for it, values, oks in zip(record.audited_iterations, record.values.tolist(), flags)
+    ))
 
 
-def write_gradients_csv(
-    path: str | Path, per_iteration: dict[int, np.ndarray] | Iterable[tuple[int, np.ndarray]]
-) -> Path:
+def write_gradients_csv(path: str | Path, per_iteration: Iterable[tuple[int, np.ndarray]]) -> Path:
     """Dump per-example gradient rows, one (N, Np) matrix per iteration.
 
-    per_iteration is a dict keyed by iteration or (iteration, matrix) pairs in
-    ascending iteration order. Pairs are written as they arrive, so a caller
-    may pass a generator that refills one buffer for every iteration. Rows
-    are formatted directly: no field (integers, float reprs) needs quoting.
+    per_iteration yields (iteration, matrix) pairs in ascending iteration
+    order. Pairs are written as they arrive, so a caller may pass a generator
+    that refills one buffer for every iteration.
     """
-    pairs = iter(sorted(per_iteration.items()) if isinstance(per_iteration, dict) else per_iteration)
+    pairs = iter(per_iteration)
     first = next(pairs, None)
     if first is None:
         raise ValueError("no gradient matrices to write")
     n_params = first[1].shape[1]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["iteration", "example_id"] + [f"g_{p}" for p in range(n_params)]) + "\n")
+
+    def chunks():
         previous = None
         for it, mat in itertools.chain([first], pairs):
             if mat.shape[1] != n_params:
@@ -118,39 +108,29 @@ def write_gradients_csv(
             if previous is not None and it <= previous:
                 raise ValueError(f"gradient iterations must ascend, got {it} after {previous}")
             previous = it
-            fh.write("".join(
+            yield "".join(
                 [f"{it},{ex}," + ",".join(map(repr, row)) + "\n" for ex, row in enumerate(mat.tolist())]
-            ))
-    return path
+            )
+
+    return _write_csv(path, ["iteration", "example_id"] + [f"g_{p}" for p in range(n_params)], chunks())
 
 
 def write_attack_csv(path: str | Path, attack: AttackResult) -> Path:
-    rows = [
-        (
-            ex,
-            repr(float(attack.per_example_score[ex])),
-            int(attack.per_example_success[ex]),
-            int(attack.membership[ex]),
-        )
-        for ex in range(attack.per_example_score.shape[0])
-    ]
-    return _write_rows(path, ["example_id", "score", "success", "membership"], rows)
+    # repr(float(x)): numpy 2 reprs an np.float64 as "np.float64(...)".
+    rows = zip(attack.per_example_score, attack.per_example_success, attack.membership)
+    return _write_csv(path, ["example_id", "score", "success", "membership"], (
+        f"{ex},{float(score)!r},{int(success)},{int(member)}\n"
+        for ex, (score, success, member) in enumerate(rows)
+    ))
 
 
 def write_sweep_csv(path: str | Path, reports: list[DefenseReport]) -> Path:
-    rows = [
-        (
-            repr(float(r.removed_fraction)),
-            repr(float(r.auc_before)),
-            repr(float(r.auc_after)),
-            repr(float(r.test_accuracy_before)),
-            repr(float(r.test_accuracy_after)),
-        )
+    return _write_csv(path, ["p", "auc_before", "auc_after", "acc_before", "acc_after"], (
+        ",".join(repr(float(x)) for x in (
+            r.removed_fraction, r.auc_before, r.auc_after, r.test_accuracy_before, r.test_accuracy_after
+        )) + "\n"
         for r in reports
-    ]
-    return _write_rows(
-        path, ["p", "auc_before", "auc_after", "acc_before", "acc_after"], rows
-    )
+    ))
 
 
 def audit_report(record: AuditRecord, config: dict, ranking: np.ndarray) -> dict:
@@ -161,8 +141,6 @@ def audit_report(record: AuditRecord, config: dict, ranking: np.ndarray) -> dict
     audits, the multiples of the epoch length plus the final state n_iters
     for every-epoch audits (whose first audited point is the epoch length,
     not 0), and n_iters alone for final-only audits.
-    total_bits_excluding_first drops the first audited iteration, whichever
-    it is; it is the initial parameters only for every-iteration audits.
     """
     fano = record.fano
     per_example = [
@@ -175,7 +153,6 @@ def audit_report(record: AuditRecord, config: dict, ranking: np.ndarray) -> dict
             "pe_lower": pe,
             "vacuous": vacuous,
             "cumulative_gnq": cum,
-            "total_bits_excluding_first": float(sum(bits[1:])),
         }
         for j, (bits, total, remaining, pe, vacuous, cum) in enumerate(
             zip(

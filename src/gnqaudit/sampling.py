@@ -211,10 +211,6 @@ class IndicatorDraw:
     m: np.ndarray
 
     @property
-    def effective_batch(self) -> int:
-        return int((self.t * self.m).sum())
-
-    @property
     def batch_indices(self) -> np.ndarray:
         return np.flatnonzero(self.t * self.m)
 
@@ -258,8 +254,9 @@ def draw_indicators(cfg: SamplingConfig, iteration: int) -> IndicatorDraw:
     The training indicator depends only on cfg.seed, so every iteration of one
     run shares it (the same read-only array); the batch indicator stream is
     keyed by (seed, iteration), so draws for distinct iterations can be
-    produced in any order and still match a sequential run bit for bit. This
-    is the only record of a run's batches: checkpoints do not store them.
+    produced in any order and still match a sequential run bit for bit.
+    Checkpoints store no batches: this function and `batch_indices`, which
+    `train` draws through, read the same streams and give the same batches.
     """
     if iteration < 0:
         raise ConfigurationError(f"iteration must be >= 0, got {iteration}")

@@ -125,14 +125,14 @@ def run_small_attack(seed=3):
     feats = rng.uniform(0.0, 2.0, size=(8, 1))
     targs = feats[:, 0] + rng.normal(0.0, 0.2, size=8)
     cfg = SamplingConfig(n_total=8, n_train=4, batch_size=2, n_iters=10, learning_rate=0.1, seed=seed)
-    traj = train(cfg, spec, Dataset(name="s", features=feats, targets=targs))
-    ds = Dataset(name="s", features=feats, targets=targs, membership=traj.train_indicator)
+    traj = train(cfg, spec, Dataset(features=feats, targets=targs))
+    ds = Dataset(features=feats, targets=targs, membership=traj.train_indicator)
     return spec, traj, ds
 
 
 def test_loss_attack_requires_membership():
     spec, traj, ds = run_small_attack()
-    bare = Dataset(name="s", features=ds.features, targets=ds.targets)
+    bare = Dataset(features=ds.features, targets=ds.targets)
     with pytest.raises(ConfigurationError, match="membership"):
         loss_attack(spec, traj.final_params, bare)
 
@@ -154,7 +154,7 @@ def test_loss_attack_perfectly_separable_scores():
     feats = np.array([[0.0], [1.0], [2.0], [3.0]])
     targs = np.array([0.0, 1.0, 12.0, 13.0])
     member = np.array([1, 1, 0, 0], dtype=np.uint8)
-    ds = Dataset(name="sep", features=feats, targets=targs, membership=member)
+    ds = Dataset(features=feats, targets=targs, membership=member)
     params = np.array([1.0, 0.0])  # zero loss on the two members
     res = loss_attack(spec, params, ds)
     assert res.auc == 1.0
@@ -217,7 +217,7 @@ def test_curve_bin_counts_cover_everyone():
     curve = success_vs_gnq(fake_attack(success), fake_record(gnq), 3)
     assert curve.zero_count == 2
     assert curve.bin_counts.sum() == 6
-    assert curve.total_count == 8
+    assert curve.zero_count + curve.bin_counts.sum() == 8
     assert curve.zero_mean_success == pytest.approx(0.5)
 
 

@@ -161,7 +161,7 @@ def test_audit_dump_streams_each_iteration_from_one_buffer(tmp_path):
     ds = RunConfig.from_json_dict(json.loads(Path(cfgp).read_text()), None, None).build_dataset()
     its = audited_iterations(traj.cfg, AuditCadence.EVERY_EPOCH)
     assert len(its) > 1
-    fresh = {it: gradient_all(traj.model, traj.params_per_iter[it], ds.features, ds.targets) for it in its}
+    fresh = [(it, gradient_all(traj.model, traj.params_per_iter[it], ds.features, ds.targets)) for it in its]
     write_gradients_csv(tmp_path / "fresh.csv", fresh)
     assert (out / "gradients.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
@@ -515,6 +515,15 @@ def _param(value):
         pytest.param(_set("bound", "gnq", ["1"]), None, "bound.gnq", id="quoted-gnq"),
         pytest.param(_set("bound", "gnq", []), None, "bound.gnq", id="empty-gnq"),
         pytest.param(_set("oracle", "seed", -1), None, "oracle.seed", id="negative-oracle-seed"),
+        pytest.param(_set("audit", "tol", 1.0), None, "audit tol", id="tol-one"),
+        pytest.param(_set("sampling", "seed", 2**64), None, "seed must fit in u64", id="seed-past-u64"),
+        pytest.param(lambda c: {**c, "defense": {}}, None, "exactly one of p, sweep", id="defense-neither"),
+        pytest.param(
+            lambda c: {**c, "defense": {"p": 0.1, "sweep": [0.1]}},
+            None,
+            "exactly one of p, sweep",
+            id="defense-both",
+        ),
         # Values of the right type that the schema's limits refuse, at load,
         # whether or not the command builds the dataset.
         pytest.param(

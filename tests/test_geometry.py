@@ -13,7 +13,6 @@ from gnqaudit import (
     ShapeError,
     diagonal_scores,
     gnq_exact,
-    leakage_growth_factor,
     loo_scores,
     make_blobs,
     pdet_rank_one,
@@ -43,27 +42,27 @@ def loo(rows, tol=1e-10):
 
 
 def test_identity_gram():
-    score = gnq_exact(gs([(1, 0), (0, 1), (1, 0)]), 2)
-    assert score.value == pytest.approx(1.0, abs=1e-12)
-    assert score.range_ok
+    value, range_ok = gnq_exact(gs([(1, 0), (0, 1), (1, 0)]), 2)
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert range_ok
 
 
 def test_quadratic_scaling():
-    score = gnq_exact(gs([(1, 0), (0, 1), (2, 0)]), 2)
-    assert score.value == pytest.approx(4.0, abs=1e-12)
+    value, _ = gnq_exact(gs([(1, 0), (0, 1), (2, 0)]), 2)
+    assert value == pytest.approx(4.0, abs=1e-12)
 
 
 def test_out_of_span_flagged_zero():
     # S = diag(2, 0) and g_3 = (0, 1): orthogonal to range(S).
-    score = gnq_exact(gs([(1, 0), (1, 0), (0, 1)]), 2)
-    assert score.value == 0.0
-    assert not score.range_ok
+    value, range_ok = gnq_exact(gs([(1, 0), (1, 0), (0, 1)]), 2)
+    assert value == 0.0
+    assert not range_ok
 
 
 def test_all_zero_others():
-    score = gnq_exact(gs([(0.0, 0.0), (1.0, 2.0)]), 1)
-    assert score.value == 0.0
-    assert not score.range_ok
+    value, range_ok = gnq_exact(gs([(0.0, 0.0), (1.0, 2.0)]), 1)
+    assert value == 0.0
+    assert not range_ok
 
 
 def test_single_example_rejected():
@@ -85,9 +84,9 @@ def test_matches_pinv_reference():
         d = int(rng.integers(1, 8))
         g = rng.normal(size=(n, d))
         j = int(rng.integers(n))
-        score = gnq_exact(gs(g), j)
-        assert score.value == pytest.approx(ref_gnq(g, j), rel=1e-9, abs=1e-12)
-        assert score.range_ok == ref_in_range(g, j)
+        value, range_ok = gnq_exact(gs(g), j)
+        assert value == pytest.approx(ref_gnq(g, j), rel=1e-9, abs=1e-12)
+        assert range_ok == ref_in_range(g, j)
 
 
 @given(
@@ -100,7 +99,7 @@ def test_matches_pinv_reference():
 @settings(max_examples=120, deadline=None)
 def test_nonnegative(g):
     for j in range(g.shape[0]):
-        assert gnq_exact(gs(g), j).value >= 0.0
+        assert gnq_exact(gs(g), j)[0] >= 0.0
 
 
 @given(
@@ -113,11 +112,11 @@ def test_nonnegative(g):
 )
 @settings(max_examples=80, deadline=None)
 def test_scale_law(g, c):
-    base = gnq_exact(gs(g), 0)
+    base, _ = gnq_exact(gs(g), 0)
     scaled = g.copy()
     scaled[0] *= c
-    got = gnq_exact(gs(scaled), 0)
-    assert got.value == pytest.approx(c * c * base.value, rel=1e-8, abs=1e-10)
+    got, _ = gnq_exact(gs(scaled), 0)
+    assert got == pytest.approx(c * c * base, rel=1e-8, abs=1e-10)
 
 
 def test_rotation_invariance():
@@ -127,8 +126,8 @@ def test_rotation_invariance():
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         rotated = g @ q.T
         for j in range(6):
-            a = gnq_exact(gs(g), j).value
-            b = gnq_exact(gs(rotated), j).value
+            a, _ = gnq_exact(gs(g), j)
+            b, _ = gnq_exact(gs(rotated), j)
             assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
 
 
@@ -137,8 +136,8 @@ def test_duplicate_group_value():
     # GNQ = 1/(k-1) along it.
     for k in (2, 3, 5):
         g = np.tile([(2.0, 1.0)], (k, 1))
-        score = gnq_exact(gs(g), 0)
-        assert score.value == pytest.approx(1.0 / (k - 1), rel=1e-10)
+        value, _ = gnq_exact(gs(g), 0)
+        assert value == pytest.approx(1.0 / (k - 1), rel=1e-10)
 
 
 # loo_scores ---------------------------------------------------------------
@@ -162,9 +161,9 @@ def test_downdate_consistency_random():
         g = rng.normal(size=(8, 5))
         values, range_ok, _ = loo(g)
         for j in range(8):
-            slow = gnq_exact(gs(g), j)
-            assert values[j] == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
-            assert range_ok[j] == slow.range_ok
+            slow_value, slow_ok = gnq_exact(gs(g), j)
+            assert values[j] == pytest.approx(slow_value, rel=1e-8, abs=1e-10)
+            assert range_ok[j] == slow_ok
 
 
 def test_downdate_consistency_rank_deficient():
@@ -175,9 +174,9 @@ def test_downdate_consistency_rank_deficient():
         g = rng.normal(size=(5, 9))
         values, range_ok, _ = loo(g)
         for j in range(5):
-            slow = gnq_exact(gs(g), j)
-            assert values[j] == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
-            assert range_ok[j] == slow.range_ok
+            slow_value, slow_ok = gnq_exact(gs(g), j)
+            assert values[j] == pytest.approx(slow_value, rel=1e-8, abs=1e-10)
+            assert range_ok[j] == slow_ok
 
 
 def _mlp_gradients():
@@ -335,11 +334,11 @@ def test_secular_correction_matches_gnq_exact_on_planted_spectra(case):
     g, tol = case
     values, range_ok, _ = loo(g, tol)
     for j in range(g.shape[0]):
-        slow = gnq_exact(gs(g), j, tol)
+        slow_value, slow_ok = gnq_exact(gs(g), j, tol)
         # Kept eigenvalues reach down to the cutoff: both routes carry
         # ~eps / tol relative error.
-        assert values[j] == pytest.approx(slow.value, rel=1e-7, abs=1e-10)
-        assert range_ok[j] == slow.range_ok
+        assert values[j] == pytest.approx(slow_value, rel=1e-7, abs=1e-10)
+        assert range_ok[j] == slow_ok
 
 
 def test_cutoff_crossing_row_falls_back():
@@ -402,7 +401,7 @@ def test_range_ok_ignores_rounding_level_residual():
     resid = 3e-16
     assert resid > 1e-10 * np.linalg.norm(g[2])
     assert ref_in_range(g, 2)
-    assert gnq_exact(gs(g), 2).range_ok
+    assert gnq_exact(gs(g), 2)[1]
     assert loo(g)[1][2]
 
 
@@ -423,9 +422,9 @@ def rank_deficient(draw):
 def test_every_route_matches_gnq_exact_on_rank_deficient_input(g):
     values, range_ok, _ = loo(g)
     for j in range(g.shape[0]):
-        slow = gnq_exact(gs(g), j)
-        assert values[j] == pytest.approx(slow.value, rel=1e-8, abs=1e-10)
-        assert range_ok[j] == slow.range_ok
+        slow_value, slow_ok = gnq_exact(gs(g), j)
+        assert values[j] == pytest.approx(slow_value, rel=1e-8, abs=1e-10)
+        assert range_ok[j] == slow_ok
 
 
 # diagonal_scores ------------------------------------------------------------
@@ -462,8 +461,8 @@ def test_diagonal_equals_exact_for_axis_aligned():
     g = np.array([[3.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
     values, _ = diagonal_scores(g)
     for j in range(4):
-        e = gnq_exact(gs(g), j)
-        assert values[j] / (1.0 - values[j]) == pytest.approx(e.value, rel=1e-10)
+        exact, _ = gnq_exact(gs(g), j)
+        assert values[j] / (1.0 - values[j]) == pytest.approx(exact, rel=1e-10)
 
 
 @pytest.mark.parametrize("zero_column", [False, True])
@@ -537,36 +536,3 @@ def test_determinant_lemma_invertible():
         rhs = (1.0 + q @ np.linalg.solve(a, q)) * np.linalg.det(a)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
-
-# leakage_growth_factor --------------------------------------------------------
-
-
-def test_growth_factor_at_zero():
-    assert leakage_growth_factor(0.0, 0.3, 0.7) == 1.0
-
-
-def test_growth_factor_hand_value():
-    assert leakage_growth_factor(3.0, 1.0, 1.0) == pytest.approx(2.0)
-
-
-def test_growth_factor_monotone_when_condition_holds():
-    # 2 c1^2 = 2 > c2^2 = 1.9.
-    xs = np.linspace(0.0, 100.0, 400)
-    vals = [leakage_growth_factor(float(x), 1.0, 1.9) for x in xs]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-@given(
-    c1_sq=st.floats(0.05, 3.0),
-    c2_sq=st.floats(0.05, 3.0),
-    x=st.floats(0.001, 50.0),
-)
-@settings(max_examples=100, deadline=None)
-def test_growth_factor_direction_matches_condition(c1_sq, c2_sq, x):
-    # Strict increase everywhere iff 2 c1^2 > c2^2; under the reverse strict
-    # inequality the factor dips below 1 somewhere near 0.
-    f = leakage_growth_factor
-    h = 1e-6 * max(x, 1.0)
-    slope = f(x + h, c1_sq, c2_sq) - f(x - h, c1_sq, c2_sq)
-    if 2 * c1_sq > c2_sq * (1 + 1e-6) and c2_sq * x < 1e3:
-        assert slope > 0

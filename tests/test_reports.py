@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gnqaudit import (
-    Dataset,
+    AttackResult,
     GramMode,
     ModelKind,
     ModelSpec,
@@ -26,14 +26,13 @@ from gnqaudit import (
     success_vs_gnq,
     train,
 )
-from gnqaudit.canonical import json_default, write_json
+from gnqaudit.canonical import canonical_json, json_default, write_json
 from gnqaudit.cli import _DATASETS, AuditSettings
-from gnqaudit.defense import rank_examples, run_defense, run_defense_sweep
+from gnqaudit.defense import BoundSummary, DefenseReport, rank_examples, run_defense, run_defense_sweep
 from gnqaudit.oracle import run_oracle_checks
 from gnqaudit.reports import (
     attack_report,
     audit_report,
-    canonical_json,
     config_hash,
     defense_report,
     finalize_report,
@@ -57,7 +56,7 @@ def small_run():
     base = make_linear_dataset(8, slope=1.0, intercept=0.0, noise_scale=0.2, x_low=0.0, x_high=2.0, seed=1)
     cfg = SamplingConfig(n_total=8, n_train=4, batch_size=2, n_iters=10, learning_rate=0.1, seed=3)
     traj = train(cfg, spec, base)
-    ds = Dataset(name=base.name, features=base.features, targets=base.targets, membership=traj.train_indicator)
+    ds = base.with_membership(traj.train_indicator)
     record = audit(traj, ds)
     attack = loss_attack(spec, traj.final_params, ds)
     return spec, cfg, ds, traj, record, attack
@@ -326,7 +325,7 @@ def test_attack_csv_layout(tmp_path, small_run):
 
 
 def test_gradients_csv_layout(tmp_path):
-    per_iter = {0: np.arange(6.0).reshape(2, 3), 2: np.ones((2, 3))}
+    per_iter = [(0, np.arange(6.0).reshape(2, 3)), (2, np.ones((2, 3)))]
     path = write_gradients_csv(tmp_path / "g.csv", per_iter)
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,example_id,g_0,g_1,g_2"
@@ -334,11 +333,19 @@ def test_gradients_csv_layout(tmp_path):
     assert lines[1].startswith("0,0,")
 
 
-def test_gradients_csv_streamed_pairs_write_the_dict_bytes(tmp_path):
+def _csv_module_bytes(path, header, rows):
+    """The csv module's layout, which the direct formatting must keep."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_gradients_csv_streamed_pairs_write_the_csv_module_bytes(tmp_path):
     rng = np.random.default_rng(3)
     mats = {it: rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-20, 20, size=3) for it in (0, 3, 7)}
     mats[3][1, 2] = -0.0
-    from_dict = write_gradients_csv(tmp_path / "dict.csv", mats).read_bytes()
     buf = np.empty((4, 3))
 
     def refill():  # one buffer, overwritten before each pair is handed on
@@ -346,15 +353,46 @@ def test_gradients_csv_streamed_pairs_write_the_dict_bytes(tmp_path):
             buf[...] = mats[it]
             yield it, buf
 
-    assert write_gradients_csv(tmp_path / "stream.csv", refill()).read_bytes() == from_dict
-    # The csv module's layout, which the direct formatting must keep.
-    with open(tmp_path / "csv.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "example_id", "g_0", "g_1", "g_2"])
-        writer.writerows(
-            [it, ex] + [repr(float(v)) for v in mat[ex]] for it, mat in sorted(mats.items()) for ex in range(4)
+    streamed = write_gradients_csv(tmp_path / "stream.csv", refill()).read_bytes()
+    rows = ([it, ex] + [repr(float(v)) for v in mat[ex]] for it, mat in sorted(mats.items()) for ex in range(4))
+    header = ["iteration", "example_id", "g_0", "g_1", "g_2"]
+    assert _csv_module_bytes(tmp_path / "csv.csv", header, rows) == streamed
+
+
+def test_attack_and_sweep_csv_write_the_csv_module_bytes(tmp_path):
+    # numpy scalars in, as the attack's arrays and a defense run's floats
+    # arrive; np.float64's own repr would be "np.float64(...)".
+    scores = np.array([np.inf, -np.inf, 0.5, 0.5, -0.0, 1e-300, 0.1 + 0.2, 7.0])
+    success = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+    member = np.array([True, False, True, False, False, True, True, False])
+    attack = AttackResult(scores, success, member, auc=0.5, threshold=0.5)
+    rows = [(ex, repr(float(scores[ex])), int(success[ex]), int(member[ex])) for ex in range(scores.size)]
+    want = _csv_module_bytes(tmp_path / "attack_ref.csv", ["example_id", "score", "success", "membership"], rows)
+    assert write_attack_csv(tmp_path / "attack.csv", attack).read_bytes() == want
+
+    bound = BoundSummary(pe_lower_min=0.0, pe_lower_mean=0.1)
+    reports = [
+        DefenseReport(
+            removed_fraction=np.float64(p),
+            removed_ids=(),
+            auc_before=np.float64(auc),
+            auc_after=np.float64(auc),  # a tie
+            test_accuracy_before=np.float64(0.1 + 0.2),
+            test_accuracy_after=np.float64(1.0),
+            bound_before=bound,
+            bound_after=bound,
+            survivor_pe_mean_before=0.1,
+            survivor_pe_mean_after=0.1,
+            survivor_bound_improved=True,
+            n_train_after=4,
         )
-    assert (tmp_path / "csv.csv").read_bytes() == from_dict
+        for p, auc in ((0.0, 0.75), (0.05, 0.75), (0.1, 2.0 / 3.0))
+    ]
+    fields = ("removed_fraction", "auc_before", "auc_after", "test_accuracy_before", "test_accuracy_after")
+    rows = [tuple(repr(float(getattr(r, f))) for f in fields) for r in reports]
+    header = ["p", "auc_before", "auc_after", "acc_before", "acc_after"]
+    want = _csv_module_bytes(tmp_path / "sweep_ref.csv", header, rows)
+    assert write_sweep_csv(tmp_path / "sweep.csv", reports).read_bytes() == want
 
 
 def test_gradients_csv_refuses_descending_or_mixed_pairs(tmp_path):
@@ -363,7 +401,7 @@ def test_gradients_csv_refuses_descending_or_mixed_pairs(tmp_path):
     with pytest.raises(ValueError, match="parameter dimension"):
         write_gradients_csv(tmp_path / "g.csv", [(1, np.ones((2, 3))), (2, np.ones((2, 4)))])
     with pytest.raises(ValueError, match="no gradient"):
-        write_gradients_csv(tmp_path / "g.csv", {})
+        write_gradients_csv(tmp_path / "g.csv", [])
 
 
 def test_sweep_csv_one_row_per_fraction(tmp_path):

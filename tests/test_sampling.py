@@ -129,7 +129,7 @@ def test_monte_carlo_means_bernoulli():
         cfg = cfg_of(100, 50, 10, BER, seed=s)
         for it in range(10):
             draw = draw_indicators(cfg, it)
-            batches[s * 10 + it] = draw.effective_batch
+            batches[s * 10 + it] = draw.batch_indices.size
         pops[s] = draw.t.sum()
     assert abs(pops.mean() - 50.0) < 1.0
     assert abs(batches.mean() - 10.0) < 0.3
