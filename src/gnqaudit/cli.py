@@ -43,7 +43,7 @@ from .data import (
     make_outlier_regression_dataset,
     save_csv_dataset,
 )
-from .defense import rank_examples, run_defense, run_defense_sweep
+from .defense import rank_examples, run_defense_sweep
 from .errors import AuditError, ConfigurationError, VerificationError
 from .geometry import DEFAULT_TOL, GramMode
 from .models import ModelSpec, gradient_all

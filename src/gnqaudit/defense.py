@@ -2,14 +2,16 @@
 
 The pipeline audits a baseline run, ranks the pool by cumulative uniqueness,
 drops the top ceil(p * N) candidates from the pool entirely, retrains on the
-filtered pool with the same base seed, and attacks both models. The input
-dataset must be larger than the configured pool: a seeded permutation takes
-the first n_total rows as the pool and holds the remainder out as the test
-set for utility numbers.
+filtered pool with the same base seed, and attacks both models. Only the
+baseline is audited: the ranking is all the scores are for, and a retrained
+model's floors come from running `audit` on it. The input dataset must be
+larger than the configured pool: a seeded permutation takes the first n_total
+rows as the pool and holds the remainder out as the test set for utility
+numbers.
 
 After removal the pool shrinks to N' = N - k, and the retrain uses
-n_train' = round(n_train * N'/N) so the membership prior (and with it the
-prior-entropy term of every bound) stays comparable before and after.
+n_train' = round(n_train * N'/N) so the membership prior n_train / N stays
+comparable before and after.
 """
 
 from __future__ import annotations
@@ -19,26 +21,13 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .attack import AttackResult, loss_attack
+from .attack import loss_attack
 from .data import Dataset
 from .errors import ConfigurationError
 from .geometry import DEFAULT_TOL, GramMode
 from .models import ModelSpec, accuracy
 from .sampling import _SPLIT_TAG, SamplingConfig, stream
-from .training import AuditCadence, AuditRecord, audit, train
-
-
-@dataclass(frozen=True)
-class BoundSummary:
-    """Distribution summary of per-example Fano floors."""
-
-    pe_lower_min: float
-    pe_lower_mean: float
-
-    @classmethod
-    def from_record(cls, record: AuditRecord) -> "BoundSummary":
-        pe = record.fano.pe_lower
-        return cls(pe_lower_min=float(pe.min()), pe_lower_mean=float(pe.mean()))
+from .training import AuditCadence, AuditRecord, TrainingTrajectory, audit, train
 
 
 @dataclass(frozen=True)
@@ -49,14 +38,6 @@ class DefenseReport:
     auc_after: float
     test_accuracy_before: float
     test_accuracy_after: float
-    bound_before: BoundSummary
-    bound_after: BoundSummary
-    # Survivor-only comparison: mean Fano floor over the kept examples, from
-    # the baseline audit vs the retrain audit. Removing the riskiest points
-    # should not lower it; violations are flagged, not fatal.
-    survivor_pe_mean_before: float
-    survivor_pe_mean_after: float
-    survivor_bound_improved: bool
     n_train_after: int
 
 
@@ -64,15 +45,6 @@ def rank_examples(record: AuditRecord) -> np.ndarray:
     """Example indices by descending cumulative uniqueness, ties by ascending index."""
     cum = np.asarray(record.cumulative_gnq, dtype=np.float64)
     return np.lexsort((np.arange(cum.shape[0]), -cum))
-
-
-@dataclass(frozen=True)
-class DefenseRun:
-    """One trained-and-attacked configuration inside the defense pipeline."""
-
-    record: AuditRecord
-    attack: AttackResult
-    test_accuracy: float
 
 
 def split_pool(data: Dataset, cfg: SamplingConfig) -> tuple[Dataset, Dataset]:
@@ -86,23 +58,13 @@ def split_pool(data: Dataset, cfg: SamplingConfig) -> tuple[Dataset, Dataset]:
     return data.subset(order[: cfg.n_total]), data.subset(order[cfg.n_total :])
 
 
-def _run_one(
-    cfg: SamplingConfig,
-    model: ModelSpec,
-    pool: Dataset,
-    test: Dataset,
-    audit_mode: GramMode,
-    cadence: AuditCadence,
-    tol: float,
-) -> DefenseRun:
+def _train_and_attack(
+    cfg: SamplingConfig, model: ModelSpec, pool: Dataset, test: Dataset
+) -> tuple[TrainingTrajectory, float, float]:
+    """Train on the pool; the trajectory, the loss attack's AUC and held-out accuracy."""
     traj = train(cfg, model, pool)
-    record = audit(traj, pool, mode=audit_mode, cadence=cadence, tol=tol)
     attacked = loss_attack(model, traj.final_params, pool.with_membership(traj.train_indicator))
-    return DefenseRun(
-        record=record,
-        attack=attacked,
-        test_accuracy=accuracy(model, traj.final_params, test.features, test.targets),
-    )
+    return traj, attacked.auc, accuracy(model, traj.final_params, test.features, test.targets)
 
 
 def run_defense_sweep(
@@ -116,10 +78,11 @@ def run_defense_sweep(
 ) -> list[DefenseReport]:
     """Before/after comparisons at each removal fraction, in the given order.
 
-    The baseline is trained and audited once and shared by every fraction, so
-    k fractions cost k + 1 train-and-audit runs. p = 0 removes nothing and,
-    because the retrain reuses the same base seed, reproduces
-    the baseline bit for bit.
+    The baseline is trained, attacked and audited once and shared by every
+    fraction; each fraction adds one retrain and attack, with no audit, so k
+    fractions cost k + 1 training runs and one audit. p = 0 removes nothing
+    and, because the retrain reuses the same base seed, reproduces the
+    baseline bit for bit.
     """
     if not fractions:
         raise ConfigurationError("sweep needs at least one removal fraction")
@@ -127,10 +90,9 @@ def run_defense_sweep(
         if not 0.0 <= p < 1.0:
             raise ConfigurationError(f"removal fraction must be in [0, 1), got {p}")
     pool, test = split_pool(data, cfg)
-    baseline = _run_one(cfg, model, pool, test, audit_mode, cadence, tol)
+    traj, auc_before, accuracy_before = _train_and_attack(cfg, model, pool, test)
+    ranked = rank_examples(audit(traj, pool, mode=audit_mode, cadence=cadence, tol=tol))
     n_pool = len(pool)
-    ranked = rank_examples(baseline.record)
-    pe_before = baseline.record.fano.pe_lower
     reports = []
     for p in fractions:
         k = math.ceil(p * n_pool)
@@ -143,24 +105,17 @@ def run_defense_sweep(
                 f"batch_size={cfg.batch_size}"
             )
         cfg_after = dc_replace(cfg, n_total=n_pool - k, n_train=n_train_after)
-        filtered = _run_one(
-            cfg_after, model, pool.subset(survivors), test, audit_mode, cadence, tol
+        _, auc_after, accuracy_after = _train_and_attack(
+            cfg_after, model, pool.subset(survivors), test
         )
-        survivor_before = float(pe_before[survivors].mean())
-        survivor_after = float(filtered.record.fano.pe_lower.mean())
         reports.append(
             DefenseReport(
                 removed_fraction=float(p),
                 removed_ids=tuple(int(i) for i in removed),
-                auc_before=baseline.attack.auc,
-                auc_after=filtered.attack.auc,
-                test_accuracy_before=baseline.test_accuracy,
-                test_accuracy_after=filtered.test_accuracy,
-                bound_before=BoundSummary.from_record(baseline.record),
-                bound_after=BoundSummary.from_record(filtered.record),
-                survivor_pe_mean_before=survivor_before,
-                survivor_pe_mean_after=survivor_after,
-                survivor_bound_improved=survivor_after >= survivor_before,
+                auc_before=auc_before,
+                auc_after=auc_after,
+                test_accuracy_before=accuracy_before,
+                test_accuracy_after=accuracy_after,
                 n_train_after=n_train_after,
             )
         )

@@ -95,7 +95,6 @@ class GramMode(enum.Enum):
 class GradientSet:
     """Per-example gradients at one iteration, as rows of an (N, N_p) array."""
 
-    iteration: int
     vectors: np.ndarray
 
     def __post_init__(self) -> None:

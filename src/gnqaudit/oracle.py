@@ -307,7 +307,7 @@ def _random_instance(
     nt = int(rng.integers(1, n))  # keep nt < n so conditioning is nondegenerate
     b = int(rng.integers(1, nt + 1))
     cfg = _sampling(n, nt, b, scheme)
-    grads = GradientSet(iteration=0, vectors=rng.standard_normal((n, dim)))
+    grads = GradientSet(rng.standard_normal((n, dim)))
     return grads, cfg, int(rng.integers(0, n))
 
 
@@ -485,11 +485,11 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
         grads, cfg, j = _random_instance(rng, n, 2, ber)
         zeroed = grads.vectors.copy()
         zeroed[j] = 0.0
-        worst = max(worst, exact_discrete_mi(GradientSet(0, zeroed), cfg, j))
+        worst = max(worst, exact_discrete_mi(GradientSet(zeroed), cfg, j))
         mi1 = exact_discrete_mi(grads, cfg, j)
         doubled = grads.vectors.copy()
         doubled[j] *= 2.0
-        mi2 = exact_discrete_mi(GradientSet(0, doubled), cfg, j)
+        mi2 = exact_discrete_mi(GradientSet(doubled), cfg, j)
         monotone_ok &= mi2 >= mi1 - 1e-12
         prior = prior_entropy(cfg.n_train, cfg.n_total)
         bound_ok &= -1e-12 <= mi1 <= prior + 1e-12
@@ -508,7 +508,7 @@ def run_oracle_checks(seed: int = 0, corrupt: str | None = None) -> OracleReport
     # little through the shared popcount. Reported, not gated.
     vecs = rng.standard_normal((6, 2))
     vecs[2] = 0.0
-    coupling = exact_discrete_mi(GradientSet(0, vecs), _sampling(6, 3, 1), 2)
+    coupling = exact_discrete_mi(GradientSet(vecs), _sampling(6, 3, 1), 2)
     checks.append(
         _informational(
             "wor_zero_gradient_coupling",

@@ -225,7 +225,7 @@ def audit(
             traj.model, traj.params_per_iter[i], data.features, data.targets, out=grads
         )
         # GradientSet rejects non-finite gradients from a corrupt checkpoint.
-        GradientSet(iteration=i, vectors=grads)
+        GradientSet(grads)
         if exact:
             values[row], range_ok[row], reasons, spectra[i] = loo_scores(grads, tol)
             names, counts = np.unique(reasons[reasons != ""], return_counts=True)

@@ -67,7 +67,7 @@ def test_criterion_01_covariance_identity():
         b = int(rng.integers(1, nt + 1))
         dim = int(rng.integers(1, 5))
         cfg = SamplingConfig(n, nt, b, 1, 0.1, scheme=BER, seed=i)
-        grads = GradientSet(0, rng.normal(size=(n, dim)))
+        grads = GradientSet(rng.normal(size=(n, dim)))
         j = int(rng.integers(0, n))
         closed = closed_form_covariances(grads, cfg, j)
         enum = enumerate_covariances(grads, cfg, j)
@@ -260,9 +260,11 @@ def test_criterion_07_outlier_max_gnq():
 # 8 and 9: memorizing MLP on overlapping blobs ---------------------------------
 #
 # 400-point pool, half trained, batch 25, 400 iterations = 50 epochs. Hidden
-# width 10 keeps the gradient dimension (192) under the pool size so the full
-# Gram stays generically full-rank and the exact audit takes the downdate
-# fast path. Blob spread 1.75 against center distance 2.5 leaves most points
+# width 10 keeps the gradient dimension (192) under the pool size so removing
+# one row generically leaves the full Gram's rank alone and the exact audit
+# takes the downdate fast path. That rank is 181, not 192: a two-class softmax
+# gradient has no part along the 11 (hidden + 1) class-sum directions of the
+# output layer. Blob spread 1.75 against center distance 2.5 leaves most points
 # learnable and a hard overlapping minority that the model can only memorize;
 # that minority is what the attack wins on and what removal takes away.
 
@@ -424,12 +426,12 @@ def test_criterion_11_discrete_mi_sanity():
         vectors = rng.normal(size=(n, int(rng.integers(1, 4))))
         j = int(rng.integers(0, n))
 
-        base = exact_discrete_mi(GradientSet(0, vectors), cfg, j)
+        base = exact_discrete_mi(GradientSet(vectors), cfg, j)
         assert -1e-12 <= base <= prior_entropy(nt, n) + 1e-12
 
         doubled = vectors.copy()
         doubled[j] *= 2.0
-        assert exact_discrete_mi(GradientSet(0, doubled), cfg, j) >= base - 1e-12
+        assert exact_discrete_mi(GradientSet(doubled), cfg, j) >= base - 1e-12
 
         # Zero gradient leaks nothing when memberships are independent. Under
         # fixed-size sampling the indicators stay coupled through the shared
@@ -437,4 +439,4 @@ def test_criterion_11_discrete_mi_sanity():
         zeroed = vectors.copy()
         zeroed[j] = 0.0
         cfg_ber = SamplingConfig(n, nt, b, 1, 0.1, scheme=BER, seed=i)
-        assert exact_discrete_mi(GradientSet(0, zeroed), cfg_ber, j) == 0.0
+        assert exact_discrete_mi(GradientSet(zeroed), cfg_ber, j) == 0.0

@@ -276,7 +276,7 @@ def test_single_run_defense_report_still_needs_every_field(tmp_path):
     assert main(["defend", "--config", cfgp]) == 0
     report = json.loads((tmp_path / "dp" / "defense_report.json").read_text())
     jsonschema.validate(report, SCHEMA)
-    del report["bound_after"]
+    del report["auc_after"]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, SCHEMA)
 

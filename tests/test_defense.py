@@ -111,7 +111,6 @@ def test_zero_removal_reproduces_baseline():
     assert rep.removed_ids == ()
     assert rep.auc_before == rep.auc_after
     assert rep.test_accuracy_before == rep.test_accuracy_after
-    assert rep.bound_before == rep.bound_after
     assert rep.n_train_after == cfg.n_train
 
 
@@ -174,16 +173,24 @@ def test_sweep_runs_each_fraction():
 
 def test_sweep_trains_and_audits_the_baseline_once(monkeypatch):
     pool_sizes = []
+    audited_sizes = []
 
     def counting_train(cfg, *args):
         pool_sizes.append(cfg.n_total)
         return train(cfg, *args)
 
+    def counting_audit(traj, data, **kwargs):
+        audited_sizes.append(len(data))
+        return audit(traj, data, **kwargs)
+
     monkeypatch.setattr("gnqaudit.defense.train", counting_train)
+    monkeypatch.setattr("gnqaudit.defense.audit", counting_audit)
     cfg, ds = small_setup()
     run_defense_sweep(cfg, SPEC, ds, [0.01, 0.05, 0.10])
     # The 60-row baseline once, then one retrain per fraction: 4 runs, not 6.
     assert pool_sizes == [60, 59, 57, 54]
+    # Only the baseline is audited: the ranking is all the scores are for.
+    assert audited_sizes == [60]
 
 
 def test_sweep_rejects_empty():

@@ -29,8 +29,8 @@ OUT_OF_RANGE = FallbackReason.OUT_OF_RANGE.value
 CANCELLATION = FallbackReason.CANCELLATION.value
 
 
-def gs(rows, iteration=0):
-    return GradientSet(iteration=iteration, vectors=np.asarray(rows, dtype=float))
+def gs(rows):
+    return GradientSet(np.asarray(rows, dtype=float))
 
 
 def loo(rows, tol=1e-10):

@@ -190,7 +190,7 @@ def test_outlier_attains_strict_max_gnq_at_inlier_fit():
     x6 = np.column_stack([ds.features[:6, 0], np.ones(6)])
     coef6, *_ = np.linalg.lstsq(x6, ds.targets[:6], rcond=None)
     grads = gradient_all(LIN, coef6, ds.features, ds.targets)
-    scores = [gnq_exact(GradientSet(iteration=0, vectors=grads), j)[0] for j in range(7)]
+    scores = [gnq_exact(GradientSet(grads), j)[0] for j in range(7)]
     assert int(np.argmax(scores)) == 6
     assert scores[6] > max(scores[:6])
 

@@ -36,7 +36,7 @@ def random_instance(rng, n=6, dim=3, scheme=BER):
     g = rng.normal(size=(n, dim))
     nt = int(rng.integers(2, n))
     b = int(rng.integers(1, nt + 1))
-    return GradientSet(iteration=0, vectors=g), cfg_of(n, nt, b, scheme)
+    return GradientSet(g), cfg_of(n, nt, b, scheme)
 
 
 # closed-form covariances -----------------------------------------------------------
@@ -46,7 +46,7 @@ def test_single_nonzero_gradient_gives_scaled_rank_one_sigma():
     g = np.zeros((4, 2))
     g[1] = [1.0, 0.0]
     cfg = cfg_of(4, 2, 1)
-    triple = closed_form_covariances(GradientSet(iteration=0, vectors=g), cfg, 0)
+    triple = closed_form_covariances(GradientSet(g), cfg, 0)
     c1_sq = (1.0 / (1 * 4)) * (1.0 - 1.0 / 4.0)
     expected = np.zeros((2, 2))
     expected[0, 0] = c1_sq
@@ -58,7 +58,7 @@ def test_zero_scored_gradient_collapses_the_conditionals():
     rng = np.random.default_rng(1)
     g = rng.normal(size=(6, 3))
     g[2] = 0.0
-    triple = closed_form_covariances(GradientSet(iteration=0, vectors=g), cfg_of(6, 3, 2), 2)
+    triple = closed_form_covariances(GradientSet(g), cfg_of(6, 3, 2), 2)
     assert np.array_equal(triple.sigma, triple.sigma0)
     assert np.array_equal(triple.sigma, triple.sigma1)
 
@@ -79,7 +79,7 @@ def test_rank_one_relations_hold_exactly():
 def test_scale_constants_match_their_definitions():
     cfg = cfg_of(10, 5, 2)
     g = np.random.default_rng(4).normal(size=(10, 2))
-    t = closed_form_covariances(GradientSet(iteration=0, vectors=g), cfg, 0)
+    t = closed_form_covariances(GradientSet(g), cfg, 0)
     assert t.c1_sq == pytest.approx((1.0 / (2 * 10)) * (1.0 - 2.0 / 10.0), rel=1e-15)
     assert t.c2_sq == pytest.approx((1.0 / (2 * 5)) * (1.0 - 2.0 / 5.0), rel=1e-15)
 
@@ -87,7 +87,7 @@ def test_scale_constants_match_their_definitions():
 def test_closed_form_requires_independent_sampling():
     g = np.random.default_rng(0).normal(size=(5, 2))
     with pytest.raises(ConfigurationError, match="independent_bernoulli"):
-        closed_form_covariances(GradientSet(iteration=0, vectors=g), cfg_of(5, 3, 1, WOR), 0)
+        closed_form_covariances(GradientSet(g), cfg_of(5, 3, 1, WOR), 0)
 
 
 # enumeration oracle ----------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_fixed_size_sampling_gap_is_exactly_the_cross_term():
         g = rng.normal(size=(n, 3))
         nt = int(rng.integers(2, n))
         b = int(rng.integers(1, nt + 1))
-        grads = GradientSet(iteration=0, vectors=g)
+        grads = GradientSet(g)
         enum_wor = enumerate_covariances(grads, cfg_of(n, nt, b, WOR), 0)
         closed = closed_form_covariances(grads, cfg_of(n, nt, b, BER), 0)
         total = g.sum(axis=0)
@@ -131,7 +131,7 @@ def test_fixed_size_sampling_gap_is_exactly_the_cross_term():
 
 def test_deterministic_full_batch_has_zero_covariance():
     g = np.random.default_rng(2).normal(size=(5, 2))
-    t = enumerate_covariances(GradientSet(iteration=0, vectors=g), cfg_of(5, 5, 5, WOR), 0)
+    t = enumerate_covariances(GradientSet(g), cfg_of(5, 5, 5, WOR), 0)
     assert np.abs(t.sigma).max() <= 1e-15
     assert np.abs(t.sigma0).max() <= 1e-15
     assert np.abs(t.sigma1).max() <= 1e-15
@@ -141,7 +141,7 @@ def test_enumeration_capacity_cap():
     g = np.zeros((ENUMERATION_MAX_N + 1, 2))
     cfg = cfg_of(ENUMERATION_MAX_N + 1, 3, 1)
     with pytest.raises(CapacityError, match=str(ENUMERATION_MAX_N)):
-        enumerate_covariances(GradientSet(iteration=0, vectors=g), cfg, 0)
+        enumerate_covariances(GradientSet(g), cfg, 0)
 
 
 @pytest.mark.parametrize("scheme", [WOR, BER], ids=["wor", "bernoulli"])
@@ -150,7 +150,7 @@ def test_enumerated_conditionals_match_fraction_reference(scheme):
     # including n_train = n_total, where the T_j = 0 law is the unconditional one
     rng = np.random.default_rng(31)
     for n, nt, b in ((4, 2, 1), (5, 3, 2), (6, 4, 2), (6, 2, 2), (5, 5, 2)):
-        grads = GradientSet(iteration=0, vectors=rng.normal(size=(n, 2)))
+        grads = GradientSet(rng.normal(size=(n, 2)))
         j = int(rng.integers(n))
         enum = enumerate_covariances(grads, cfg_of(n, nt, b, scheme), j)
         key = "wor" if scheme is WOR else "bernoulli"
@@ -167,7 +167,7 @@ def test_gaussian_leakage_zero_gradient_is_zero_bits():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(6, 3))
     g[1] = 0.0
-    t = closed_form_covariances(GradientSet(iteration=0, vectors=g), cfg_of(6, 3, 2), 1)
+    t = closed_form_covariances(GradientSet(g), cfg_of(6, 3, 2), 1)
     out = gaussian_leakage_from_covariances(t, cfg_of(6, 3, 2))
     assert out.bits == 0.0
     assert out.rank_consistent
@@ -215,7 +215,7 @@ def test_discrete_mi_zero_gradient_independent_sampling():
     rng = np.random.default_rng(1)
     g = rng.normal(size=(6, 3))
     g[0] = 0.0
-    grads = GradientSet(iteration=0, vectors=g)
+    grads = GradientSet(g)
     assert exact_discrete_mi(grads, cfg_of(6, 3, 2), 0) == 0.0
 
 
@@ -226,13 +226,13 @@ def test_discrete_mi_zero_gradient_still_leaks_under_fixed_size_sampling():
     rng = np.random.default_rng(1)
     g = rng.normal(size=(6, 3))
     g[0] = 0.0
-    grads = GradientSet(iteration=0, vectors=g)
+    grads = GradientSet(g)
     assert exact_discrete_mi(grads, cfg_of(6, 3, 2, WOR), 0) > 0.01
 
 
 def test_discrete_mi_full_membership_is_zero():
     rng = np.random.default_rng(3)
-    grads = GradientSet(iteration=0, vectors=rng.normal(size=(5, 2)))
+    grads = GradientSet(rng.normal(size=(5, 2)))
     assert exact_discrete_mi(grads, cfg_of(5, 5, 2, WOR), 0) == 0.0
 
 
@@ -252,7 +252,7 @@ def test_discrete_mi_nondecreasing_under_gradient_scaling(scheme):
         grads, cfg = random_instance(rng, n=6, dim=2, scheme=scheme)
         base = exact_discrete_mi(grads, cfg, 0)
         doubled = np.vstack([2.0 * grads.vectors[0], grads.vectors[1:]])
-        scaled = exact_discrete_mi(GradientSet(iteration=0, vectors=doubled), cfg, 0)
+        scaled = exact_discrete_mi(GradientSet(doubled), cfg, 0)
         assert scaled >= base - 1e-12
 
 
@@ -260,7 +260,7 @@ def test_discrete_mi_capacity_cap():
     g = np.zeros((DISCRETE_MI_MAX_N + 1, 2))
     cfg = cfg_of(DISCRETE_MI_MAX_N + 1, 3, 1)
     with pytest.raises(CapacityError, match=str(DISCRETE_MI_MAX_N)):
-        exact_discrete_mi(GradientSet(iteration=0, vectors=g), cfg, 0)
+        exact_discrete_mi(GradientSet(g), cfg, 0)
 
 
 # self-test harness -----------------------------------------------------------------

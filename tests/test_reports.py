@@ -28,7 +28,7 @@ from gnqaudit import (
 )
 from gnqaudit.canonical import canonical_json, json_default, write_json
 from gnqaudit.cli import _DATASETS, AuditSettings
-from gnqaudit.defense import BoundSummary, DefenseReport, rank_examples, run_defense, run_defense_sweep
+from gnqaudit.defense import DefenseReport, rank_examples, run_defense, run_defense_sweep
 from gnqaudit.oracle import run_oracle_checks
 from gnqaudit.reports import (
     attack_report,
@@ -224,6 +224,15 @@ def test_defense_report_conforms():
     assert rep["report_kind"] == "defense"
 
 
+def test_defense_schema_requires_exactly_the_keys_the_report_writes():
+    # A key added to the report but not the schema, or the reverse, fails here.
+    rep = defense_report(DefenseReport(0.1, (3,), 0.6, 0.5, 0.7, 0.8, 27), {})
+    envelope = REPORT_SCHEMA["required"]
+    required = REPORT_SCHEMA["$defs"]["defense_run"]["required"]
+    assert len(set(required)) == len(required)
+    assert set(required) == rep.keys() - set(envelope)
+
+
 def test_oracle_report_conforms():
     rep = oracle_report(run_oracle_checks(seed=0), {"oracle": {"seed": 0}})
     jsonschema.validate(rep, REPORT_SCHEMA)
@@ -370,7 +379,6 @@ def test_attack_and_sweep_csv_write_the_csv_module_bytes(tmp_path):
     want = _csv_module_bytes(tmp_path / "attack_ref.csv", ["example_id", "score", "success", "membership"], rows)
     assert write_attack_csv(tmp_path / "attack.csv", attack).read_bytes() == want
 
-    bound = BoundSummary(pe_lower_min=0.0, pe_lower_mean=0.1)
     reports = [
         DefenseReport(
             removed_fraction=np.float64(p),
@@ -379,11 +387,6 @@ def test_attack_and_sweep_csv_write_the_csv_module_bytes(tmp_path):
             auc_after=np.float64(auc),  # a tie
             test_accuracy_before=np.float64(0.1 + 0.2),
             test_accuracy_after=np.float64(1.0),
-            bound_before=bound,
-            bound_after=bound,
-            survivor_pe_mean_before=0.1,
-            survivor_pe_mean_after=0.1,
-            survivor_bound_improved=True,
             n_train_after=4,
         )
         for p, auc in ((0.0, 0.75), (0.05, 0.75), (0.1, 2.0 / 3.0))

@@ -213,7 +213,7 @@ def _reference_scores(grads, mode, j):
         diag = np.sum(grads**2, axis=0)
         seen = diag > 0.0
         return float(np.sum(grads[j, seen] ** 2 / diag[seen])), bool(np.all(grads[j, ~seen] == 0.0))
-    return gnq_exact(GradientSet(0, grads), j)
+    return gnq_exact(GradientSet(grads), j)
 
 
 @pytest.mark.parametrize("mode", list(GramMode))
