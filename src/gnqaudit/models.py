@@ -114,19 +114,25 @@ def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Classifier logits of rows x, and the mlp's tanh hidden layer (None for logistic)."""
+def _logits(
+    spec: ModelSpec, params: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Classifier logits of rows x, the mlp's hidden layer, and the logits' weights.
+
+    The hidden layer is the tanh activations (None for logistic); the weights
+    are W for logistic and W2 for mlp, which the mlp's backward pass reuses.
+    """
     if spec.kind is ModelKind.LOGISTIC:
         wmat, bvec = _unpack_logistic(spec, params)
-        return x @ wmat.T + bvec, None
+        return x @ wmat.T + bvec, None, wmat
     w1, b1, w2, b2 = _unpack_mlp(spec, params)
     hidden = np.tanh(x @ w1.T + b1)
-    return hidden @ w2.T + b2, hidden
+    return hidden @ w2.T + b2, hidden, w2
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _class_targets(spec: ModelSpec, targets: np.ndarray) -> np.ndarray:
@@ -143,16 +149,23 @@ def _class_targets(spec: ModelSpec, targets: np.ndarray) -> np.ndarray:
     return y
 
 
+def _targets(spec: ModelSpec, targets: np.ndarray) -> np.ndarray:
+    """Targets as the kernels read them: float64 for linear2d, checked class indices otherwise."""
+    if spec.is_classifier:
+        return _class_targets(spec, targets)
+    return np.asarray(targets, dtype=np.float64)
+
+
 def loss_all(spec: ModelSpec, params: np.ndarray, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-example losses for a whole feature matrix, vectorized."""
     params = np.asarray(params, dtype=np.float64)
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     _check_shapes(spec, params, x)
+    y = _targets(spec, targets)
     if spec.kind is ModelKind.LINEAR2D:
         w, b = params
-        r = np.asarray(targets, dtype=np.float64) - (w * x[:, 0] + b)
+        r = y - (w * x[:, 0] + b)
         return 0.5 * r**2
-    y = _class_targets(spec, targets)
     logp = _log_softmax(_logits(spec, params, x)[0])
     return -logp[np.arange(x.shape[0]), y]
 
@@ -190,24 +203,35 @@ def gradient_all(
             f"out must be a C-contiguous float64 array of shape ({n}, {spec.n_params}), "
             f"got {out.dtype} {out.shape}"
         )
+    return _gradients(spec, params, x, _targets(spec, targets), out)
+
+
+def _gradients(
+    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """gradient_all's arithmetic with no checks: rows of x, y from `_targets`, into out.
+
+    The caller guarantees what gradient_all checks: float64 params of shape
+    (n_params,), float64 x of shape (n, input_dim), and out a C-contiguous
+    float64 (n, n_params) array, which is filled and returned.
+    """
     if spec.kind is ModelKind.LINEAR2D:
         w, b = params
-        r = np.asarray(targets, dtype=np.float64) - (w * x[:, 0] + b)
+        r = y - (w * x[:, 0] + b)
         out[:, 0] = -r * x[:, 0]
         out[:, 1] = -r
         return out
-    y = _class_targets(spec, targets)
-    logits, a = _logits(spec, params, x)
-    p = np.exp(_log_softmax(logits))
-    p[np.arange(n), y] -= 1.0  # dlogits = softmax - onehot
+    logits, a, w2 = _logits(spec, params, x)
+    p = np.exp(_log_softmax(logits), out=logits)
     c, d = spec.n_classes, spec.input_dim
+    p -= y[:, None] == np.arange(c)  # dlogits = softmax - onehot
     if a is None:
         np.einsum("nc,nd->ncd", p, x, out=_block(out, 0, c, d))
         out[:, c * d :] = p
         return out
     h = spec.hidden_dim
-    w2 = _unpack_mlp(spec, params)[2]
-    d1 = (p @ w2) * (1.0 - a**2)
+    d1 = p @ w2
+    d1 *= 1.0 - a**2
     o = h * d
     np.einsum("nh,nd->nhd", d1, x, out=_block(out, 0, h, d))
     out[:, o : o + h] = d1

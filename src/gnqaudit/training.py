@@ -6,10 +6,12 @@ Training follows the update theta_{i+1} = theta_i - eta * g_hat_i with
 
 i.e. the gradient sum over the realized batch normalized by the expected
 batch size B, never the realized count. An empty realized batch contributes a
-zero update but still counts as an iteration. Batch-member gradients are
-accumulated in ascending example-index order (numpy's fixed-shape pairwise
-reduction over the member rows), so trajectories are bit-identical across
-runs and platforms for identical (config, data).
+zero update but still counts as an iteration. The member gradients are rows
+of one (batch, N_p) array in ascending example-index order, and the batch
+sum adds them one row at a time in that order: numpy's axis-0 sum of a
+C-contiguous array with at least two columns (every model has N_p >= 2) is
+not a pairwise sum. So trajectories are bit-identical across runs for
+identical (config, data).
 
 An audit walks recorded parameter vectors, recomputes every example's
 gradient there, scores uniqueness in the requested mode, and converts all
@@ -42,7 +44,7 @@ from .canonical import write_json
 from .data import Dataset
 from .errors import CapacityError, ConfigurationError, DivergenceError, ShapeError
 from .geometry import GradientSet, GramMode, SpectrumHealth, diagonal_scores, loo_scores
-from .models import ModelSpec, gradient_all, init_params
+from .models import ModelSpec, _gradients, _targets, gradient_all, init_params
 from .sampling import SamplingConfig, batch_indices, train_indicator
 
 TRAJECTORY_FORMAT_VERSION = 3
@@ -129,8 +131,12 @@ class AuditRecord:
 def train(cfg: SamplingConfig, model: ModelSpec, data: Dataset) -> TrainingTrajectory:
     """Run SGD for cfg.n_iters iterations and record the full trajectory.
 
-    Raises DivergenceError (naming the iteration) as soon as a batch gradient
-    or updated parameter vector stops being finite.
+    The inputs are checked once, every class label of the pool included, so a
+    bad label raises ConfigurationError before the first step. Each step
+    writes its batch's gradients into one buffer with as many rows as the
+    training set, through the kernel `gradient_all` uses. Raises
+    DivergenceError (naming the iteration) as soon as a batch gradient sum or
+    updated parameter vector stops being finite.
     """
     if len(data) != cfg.n_total:
         raise ConfigurationError(
@@ -140,25 +146,26 @@ def train(cfg: SamplingConfig, model: ModelSpec, data: Dataset) -> TrainingTraje
         raise ShapeError(
             f"dataset dim {data.input_dim} != model input_dim {model.input_dim}"
         )
-    params = init_params(model, cfg.seed)
+    # Dataset holds float64 features; every pool label is checked here, not
+    # only those of the rows that batches reach.
+    x, y = data.features, _targets(model, data.targets)
     trajectory = np.empty((cfg.n_iters + 1, model.n_params))
-    trajectory[0] = params
+    trajectory[0] = init_params(model, cfg.seed)
+    grads = np.empty((np.count_nonzero(train_indicator(cfg)), model.n_params))
+    lr, b = cfg.learning_rate, cfg.batch_size
     # Overflow on the way to divergence is expected and raised, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, members in enumerate(batch_indices(cfg)):
-            if members.size:
-                grads = gradient_all(
-                    model, params, data.features[members], data.targets[members]
-                )
-                if not np.all(np.isfinite(grads)):
+            params, row = trajectory[i], trajectory[i + 1]
+            batch = _gradients(model, params, x[members], y[members], grads[: members.size])
+            g_sum = batch.sum(axis=0)
+            np.subtract(params, lr * (g_sum / b), out=row)
+            # A non-finite entry of g_sum makes the new row non-finite (lr > 0),
+            # so one check on the row catches both kinds of divergence.
+            if not np.isfinite(row).all():
+                if not np.isfinite(g_sum).all():
                     raise DivergenceError(f"non-finite gradient at iteration {i}", iteration=i)
-                g_hat = grads.sum(axis=0) / cfg.batch_size
-            else:
-                g_hat = np.zeros(model.n_params)
-            params = params - cfg.learning_rate * g_hat
-            if not np.all(np.isfinite(params)):
                 raise DivergenceError(f"non-finite parameters after iteration {i}", iteration=i)
-            trajectory[i + 1] = params
     return TrainingTrajectory(
         cfg=cfg,
         model=model,

@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
 from gnqaudit.cli import RunConfig, main

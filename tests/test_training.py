@@ -28,7 +28,7 @@ from gnqaudit import (
     save_trajectory,
     train,
 )
-from gnqaudit.sampling import draw_indicators
+from gnqaudit.sampling import draw_indicators, train_indicator
 from gnqaudit.training import AuditCadence, TrainingTrajectory, audit, audited_iterations
 
 LIN = ModelSpec(kind=ModelKind.LINEAR2D, input_dim=1)
@@ -117,6 +117,74 @@ def test_training_is_deterministic_in_seed():
     a = train(cfg_of(8, 4, 2, 10, seed=21), LIN, ds)
     b = train(cfg_of(8, 4, 2, 10, seed=21), LIN, ds)
     assert all(np.array_equal(x, y) for x, y in zip(a.params_per_iter, b.params_per_iter))
+
+
+def _blob_run(kind, scheme=SamplingScheme.WITHOUT_REPLACEMENT, batch_size=6, seed=4):
+    hidden = 5 if kind is ModelKind.MLP else 0
+    spec = ModelSpec(kind=kind, input_dim=3, hidden_dim=hidden, n_classes=2, init="seeded_gaussian")
+    ds = make_blobs([20, 20], input_dim=3, center_distance=2.0, spread=1.0, seed=6)
+    return spec, ds, cfg_of(40, 20, batch_size, 40, lr=0.5, seed=seed, scheme=scheme)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        _blob_run(ModelKind.MLP),
+        _blob_run(ModelKind.LOGISTIC),
+        (LIN, lin_data(12, noise=0.3), cfg_of(12, 8, 3, 40, lr=0.3, seed=2)),
+        _blob_run(ModelKind.MLP, SamplingScheme.INDEPENDENT_BERNOULLI, batch_size=1, seed=5),
+    ],
+    ids=["mlp", "logistic", "linear2d", "mlp-bernoulli-empty-batches"],
+)
+def test_every_step_is_bitwise_the_row_by_row_batch_sum(run):
+    # The step is theta - lr * (sum / B), the sum an axis-0 sum of the batch's
+    # gradient rows in ascending index order; summing in any other order
+    # moves some bits of some step.
+    spec, ds, cfg = run
+    traj = train(cfg, spec, ds)
+    sizes = []
+    for i in range(cfg.n_iters):
+        rows = np.flatnonzero(draw_indicators(cfg, i).m)
+        sizes.append(rows.size)
+        g = gradient_all(spec, traj.params_per_iter[i], ds.features[rows], ds.targets[rows])
+        step = traj.params_per_iter[i] - cfg.learning_rate * (g.sum(axis=0) / cfg.batch_size)
+        assert np.array_equal(traj.params_per_iter[i + 1], step), i
+    if cfg.scheme is SamplingScheme.INDEPENDENT_BERNOULLI:
+        assert 0 in sizes, "seed chosen to include an empty batch"
+    assert max(sizes) > 2
+
+
+def test_mlp_divergence_error_names_the_iteration():
+    spec, ds, cfg = _blob_run(ModelKind.MLP)
+    with pytest.raises(DivergenceError) as caught:
+        train(cfg_of(40, 20, 6, 40, lr=1e308, seed=4), spec, ds)
+    assert isinstance(caught.value.iteration, int)
+    assert str(caught.value).endswith(f"at iteration {caught.value.iteration}")
+
+
+def test_overflowing_batch_sum_is_a_gradient_divergence():
+    # Each row's gradient is finite; their sum is not.
+    ds = Dataset(features=np.array([[1.0], [1.0]]), targets=np.array([1e308, 1e308]))
+    with pytest.raises(DivergenceError, match="non-finite gradient at iteration 0") as caught:
+        train(cfg_of(2, 2, 2, 3, lr=0.1), LIN, ds)
+    assert caught.value.iteration == 0
+
+
+def test_bad_label_outside_the_training_set_is_rejected_before_any_step(monkeypatch):
+    spec, ds, cfg = _blob_run(ModelKind.MLP)
+    outside = int(np.flatnonzero(train_indicator(cfg) == 0)[0])
+    targets = ds.targets.copy()
+    targets[outside] = 2
+    bad = Dataset(features=ds.features, targets=targets)
+    steps = []
+    monkeypatch.setattr("gnqaudit.training._gradients", lambda *args: steps.append(args))
+    with pytest.raises(ConfigurationError, match="class labels"):
+        train(cfg, spec, bad)
+    assert steps == []
+    monkeypatch.undo()
+    # audit scores every pool row and rejects the same pool.
+    with pytest.raises(ConfigurationError, match="class labels"):
+        audit(train(cfg, spec, ds), bad, mode=GramMode.DIAGONAL)
 
 
 # cadences ------------------------------------------------------------------------
