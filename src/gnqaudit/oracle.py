@@ -15,9 +15,10 @@ Three independent routes to the same objects are implemented and compared:
   form drops. The enumeration is `sampling`'s (`state_laws`,
   `weighted_moments`), the one that also gives `enumerate_exact_moments`.
 * `exact_discrete_mi`: ground-truth mutual information between one example's
-  membership and the update, over the update's finite support. Atoms are
-  keyed by exact rational gradient sums, so coincidentally equal sums from
-  different batch patterns merge correctly.
+  membership and the update, over the update's finite support. Its exact
+  probabilities come from `sampling.count_law`, the law the 3^N enumeration
+  also reads. Atoms are keyed by exact rational gradient sums, so
+  coincidentally equal sums from different batch patterns merge correctly.
 
 `run_oracle_checks` packages all of it (plus the scalar identities from the
 geometry and bounds modules) into a machine-readable verification report.
@@ -50,6 +51,7 @@ from .geometry import (
 from .sampling import (
     SamplingConfig,
     SamplingScheme,
+    count_law,
     enumerate_exact_moments,
     indicator_moments,
     state_laws,
@@ -163,33 +165,15 @@ def gaussian_leakage_from_covariances(
     )
 
 
-def _wor_superset_probability(
-    n: int, nt: int, pattern_size: int, includes_j: bool
-) -> Fraction:
-    """P[batch pattern z, T_j outcome] under without_replacement, exactly.
-
-    Counts the size-nt training sets containing the |z| batched points (and
-    example j when conditioning on membership).
-    """
-    if includes_j:
-        free = n - pattern_size
-        need = nt - pattern_size
-    else:
-        # j barred from the training set: one fewer free slot, same need.
-        free = n - pattern_size - 1
-        need = nt - pattern_size
-    if need < 0 or need > free:
-        return Fraction(0)
-    return Fraction(math.comb(free, need), math.comb(n, nt))
-
-
 def exact_discrete_mi(grads: GradientSet, cfg: SamplingConfig, j: int) -> float:
     """Exact I[T_j ; normalized update] in bits, over the update's finite support.
 
-    Sums over all 2^N batch patterns with exact pattern probabilities; atoms
-    are keyed by tuples of exact Fractions of the gradient sum so that equal
-    sums arising from different patterns land in one atom. Entirely exact up
-    to the final float log arithmetic.
+    Sums over all 2^N batch patterns. A pattern's joint probability with each
+    T_j outcome depends only on its size: `sampling.count_law` summed over
+    which other unbatched examples are in the training set. Atoms are keyed
+    by tuples of exact Fractions of the gradient sum so that equal sums
+    arising from different patterns land in one atom. Entirely exact up to
+    the final float log arithmetic.
     """
     _check_instance(grads, cfg, j)
     if cfg.n_total > DISCRETE_MI_MAX_N:
@@ -198,51 +182,32 @@ def exact_discrete_mi(grads: GradientSet, cfg: SamplingConfig, j: int) -> float:
         )
     if cfg.n_train == cfg.n_total:
         return 0.0
-    n, nt, b = cfg.n_total, cfg.n_train, cfg.batch_size
+    n = cfg.n_total
     frac_grads = [[Fraction(float(x)) for x in row] for row in grads.vectors]
-    pb = Fraction(b, nt)
-    p_in = Fraction(nt, n)
+    p_in = Fraction(cfg.n_train, n)
+    law = count_law(cfg)
+
+    def unbatched_sum(k: int, free: int, fixed_in: int) -> Fraction:
+        """law at k batched, fixed_in unbatched members, and any u of `free` examples in."""
+        return sum(math.comb(free, u) * law[k + fixed_in + u][k] for u in range(free + 1))
+
+    # By batch size k: (P[pattern, T_j = 0], P[pattern, T_j = 1]) for a
+    # pattern that batches j, and for one that leaves j out of the batch.
+    j_batched = [(Fraction(0), unbatched_sum(k, n - k, 0)) for k in range(n + 1)]
+    j_unbatched = [
+        (unbatched_sum(k, n - k - 1, 0), unbatched_sum(k, n - k - 1, 1)) for k in range(n + 1)
+    ]
 
     atoms: dict[tuple, list[Fraction]] = {}
     for pattern in range(1 << n):
         members = [i for i in range(n) if pattern >> i & 1]
-        size = len(members)
-        if size > nt and cfg.scheme is SamplingScheme.WITHOUT_REPLACEMENT:
-            continue  # can't batch more members than the training set holds
+        p0, p1 = (j_batched if pattern >> j & 1 else j_unbatched)[len(members)]
+        if p0 == 0 and p1 == 0:
+            continue
         key = tuple(
             sum((frac_grads[i][p] for i in members), start=Fraction(0))
             for p in range(grads.dim)
         )
-        batch_factor = pb**size
-        if cfg.scheme is SamplingScheme.WITHOUT_REPLACEMENT:
-            # Training sets of size nt containing the pattern; the (nt - size)
-            # unbatched members contribute (1 - pb) each.
-            unbatched = (1 - pb) ** (nt - size)
-            j_in = pattern >> j & 1
-            if j_in:
-                p1 = _wor_superset_probability(n, nt, size, True) * batch_factor * unbatched
-                p0 = Fraction(0)
-            else:
-                p1 = (
-                    _wor_superset_probability(n, nt, size + 1, True)
-                    * batch_factor
-                    * unbatched
-                )
-                p0 = _wor_superset_probability(n, nt, size, False) * batch_factor * unbatched
-        else:
-            # Independent memberships: marginalize T over non-batched examples.
-            stay_out = 1 - p_in * pb  # not batched: out of training, or in but skipped
-            base = batch_factor * p_in**size
-            rest = stay_out ** (n - 1 - size + (1 if pattern >> j & 1 else 0))
-            if pattern >> j & 1:
-                p1 = base * rest
-                p0 = Fraction(0)
-            else:
-                # j unbatched: trained-but-skipped, or not in the training set.
-                p1 = base * rest * p_in * (1 - pb)
-                p0 = base * rest * (1 - p_in)
-        if p0 == 0 and p1 == 0:
-            continue
         entry = atoms.setdefault(key, [Fraction(0), Fraction(0)])
         entry[0] += p0
         entry[1] += p1

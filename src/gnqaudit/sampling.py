@@ -26,10 +26,13 @@ exact at finite N under the independent_bernoulli scheme.
 `enumerate_exact_moments` recomputes all of these (and the pairwise cross
 covariances the closed forms neglect) by exhaustive enumeration over all 3^N
 joint indicator states; it is the oracle the formulas are tested against.
-This module owns the one enumeration: `state_laws` gives the states and
-their laws (unconditional and given T_j), `weighted_moments` accumulates
-moments of Z or of the normalized gradient sum Z G / B under one of them,
-and the oracle's update covariances come from the same two.
+This module owns the one exact sampling law and the one enumeration:
+`count_law` is the only place either scheme's law is written, and both the
+3^N enumeration and the oracle's discrete mutual information read it.
+`state_laws` gives the states and their laws (unconditional and given T_j),
+`weighted_moments` accumulates moments of Z or of the normalized gradient
+sum Z G / B under one of them, and the oracle's update covariances come from
+the same two.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 import typing
 from collections.abc import Iterator
 from dataclasses import MISSING, dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -359,20 +363,29 @@ def _digit_table(n: int) -> np.ndarray:
     return digits
 
 
-def _state_probabilities(cfg: SamplingConfig, digits: np.ndarray) -> np.ndarray:
-    """Exact probability of every joint indicator state under cfg's scheme."""
-    n, nt, b = cfg.n_total, cfg.n_train, cfg.batch_size
-    n_in = (digits >= 1).sum(axis=1, dtype=np.int64)
-    n_batched = (digits == 2).sum(axis=1, dtype=np.int64)
-    n_unbatched = n_in - n_batched
-    pb = b / nt
+def count_law(cfg: SamplingConfig) -> list[list[Fraction]]:
+    """The exact law of one joint (t, m) state, by its two counts.
+
+    law[n_in][k], for 0 <= k <= n_in <= N, is the probability of any one joint
+    state in which n_in examples are in the training set and k of them are
+    batched, pb = B / n_train:
+
+        without_replacement:    [n_in = n_train] / C(N, n_train) pb^k (1 - pb)^(n_in - k)
+        independent_bernoulli:  pt^n_in (1 - pt)^(N - n_in) pb^k (1 - pb)^(n_in - k),
+                                pt = n_train / N
+    """
+    n, nt = cfg.n_total, cfg.n_train
+    pb = Fraction(cfg.batch_size, nt)
     if cfg.scheme is SamplingScheme.WITHOUT_REPLACEMENT:
-        base = np.where(n_in == nt, 1.0 / math.comb(n, nt), 0.0)
+        train = [Fraction(int(n_in == nt), math.comb(n, nt)) for n_in in range(n + 1)]
     else:
-        pt = nt / n
-        base = pt**n_in * (1.0 - pt) ** (n - n_in)
-    # 0.0 ** 0 == 1.0 covers the pb = 1 edge (batch always equals training set).
-    return base * pb**n_batched * (1.0 - pb) ** n_unbatched
+        pt = Fraction(nt, n)
+        train = [pt**n_in * (1 - pt) ** (n - n_in) for n_in in range(n + 1)]
+    # Fraction(0) ** 0 == 1 covers the pb = 1 edge (batch always equals training set).
+    return [
+        [train[n_in] * pb**k * (1 - pb) ** (n_in - k) for k in range(n_in + 1)]
+        for n_in in range(n + 1)
+    ]
 
 
 def state_laws(cfg: SamplingConfig, j: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -380,7 +393,8 @@ def state_laws(cfg: SamplingConfig, j: int) -> tuple[np.ndarray, tuple[np.ndarra
 
     Returns (digits, (unconditional, given T_j = 0, given T_j = 1)): digits
     holds one state per row, each example's digit 0 out, 1 in-train, 2
-    batched. P[T_j = 1] = n_train / n_total > 0 always; the T_j = 0 event is
+    batched. A state's unconditional probability is its `count_law` entry,
+    correctly rounded. P[T_j = 1] = n_train / n_total > 0 always; the T_j = 0 event is
     null only when n_train == n_total, where membership carries no
     information and that law falls back to the unconditional one.
 
@@ -395,7 +409,10 @@ def state_laws(cfg: SamplingConfig, j: int) -> tuple[np.ndarray, tuple[np.ndarra
     if not 0 <= j < cfg.n_total:
         raise ConfigurationError(f"conditioning index {j} out of range for N={cfg.n_total}")
     digits = _digit_table(cfg.n_total)
-    probs = _state_probabilities(cfg, digits)
+    table = np.zeros((cfg.n_total + 1, cfg.n_total + 1))
+    for n_in, row in enumerate(count_law(cfg)):
+        table[n_in, : n_in + 1] = [float(p) for p in row]
+    probs = table[(digits >= 1).sum(axis=1), (digits == 2).sum(axis=1)]
     out = np.where(digits[:, j] == 0, probs, 0.0)
     inn = np.where(digits[:, j] >= 1, probs, 0.0)
     p_out, p_in = out.sum(), inn.sum()
@@ -429,11 +446,12 @@ def weighted_moments(
 def enumerate_exact_moments(cfg: SamplingConfig, j: int) -> ExactMomentTable:
     """Exact indicator moments by exhaustive enumeration; oracle for the formulas.
 
-    Sums over all 3^N joint (t, m) assignments with their exact probabilities
-    (`state_laws`, `weighted_moments`; the oracle's update covariances come
-    from the same two). Accumulation is float64 over probability-weighted 0/1
-    indicators with pairwise reduction, which keeps the result within ~1e-14
-    of exact; the closed-form agreement tests run at 1e-12.
+    Sums over all 3^N joint (t, m) assignments with their `count_law`
+    probabilities (`state_laws`, `weighted_moments`; the oracle's update
+    covariances come from the same two). Accumulation is float64 over
+    probability-weighted 0/1 indicators with pairwise reduction, which keeps
+    the result within ~1e-14 of exact; the closed-form agreement tests run at
+    1e-12.
 
     Args:
         cfg: sampling configuration with n_total <= ENUMERATION_MAX_N.

@@ -11,6 +11,7 @@ Frozen constants at the bottom were produced by these functions and are
 pinned so a regression in the reference itself cannot slip through silently.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -157,6 +158,57 @@ def enum_update_covariances(vectors, nt, b, scheme, j=0):
     unconditional = cov(*total)
     given_out = cov(*acc[0]) if acc[0][0] else unconditional
     return unconditional, given_out, cov(*acc[1])
+
+
+def ref_discrete_mi(vectors, nt, b, scheme, j):
+    """Exact I[T_j ; batched gradient sum] in bits, by brute-force enumeration.
+
+    Walks every training pattern t as enum_indicator_moments does
+    (combinations for "wor", products for "bernoulli") and every batch m
+    inside it, with exact Fraction probabilities. Atoms are keyed by the
+    exact Fraction sums of the batched gradients, so equal sums from
+    different batches merge; dividing by B would merge the same atoms. Only
+    the final logarithms are float.
+    """
+    n, dim = len(vectors), len(vectors[0])
+    g = [[Fraction(float(x)) for x in row] for row in vectors]
+    pb = Fraction(b, nt)
+    if scheme == "wor":
+        wt = Fraction(1, len(list(combinations(range(n), nt))))
+        t_patterns = [
+            (tuple(1 if i in chosen else 0 for i in range(n)), wt)
+            for chosen in combinations(range(n), nt)
+        ]
+    elif scheme == "bernoulli":
+        p_in = Fraction(nt, n)
+        t_patterns = []
+        for t in product((0, 1), repeat=n):
+            w = Fraction(1)
+            for bit in t:
+                w *= p_in if bit else 1 - p_in
+            t_patterns.append((t, w))
+    else:
+        raise ValueError(scheme)
+
+    zero = Fraction(0)
+    atoms = {}  # exact gradient sum -> [P[atom, T_j = 0], P[atom, T_j = 1]]
+    for t, wt in t_patterns:
+        members = [i for i in range(n) if t[i]]
+        for m_bits in product((0, 1), repeat=len(members)):
+            w = wt
+            for bit in m_bits:
+                w *= pb if bit else 1 - pb
+            batched = [i for i, bit in zip(members, m_bits) if bit]
+            key = tuple(sum((g[i][p] for i in batched), zero) for p in range(dim))
+            atoms.setdefault(key, [zero, zero])[t[j]] += w
+    prior = [sum(a[tau] for a in atoms.values()) for tau in (0, 1)]
+    mi = 0.0
+    for joint in atoms.values():
+        for tau in (0, 1):
+            if joint[tau] > 0:
+                ratio = joint[tau] / ((joint[0] + joint[1]) * prior[tau])
+                mi += float(joint[tau]) * math.log2(float(ratio))
+    return mi
 
 
 # gradient geometry -----------------------------------------------------------

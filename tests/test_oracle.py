@@ -20,7 +20,7 @@ from gnqaudit.oracle import (
     run_oracle_checks,
 )
 from gnqaudit.sampling import ENUMERATION_MAX_N
-from oracles import enum_update_covariances
+from oracles import enum_update_covariances, ref_discrete_mi
 
 BER = SamplingScheme.INDEPENDENT_BERNOULLI
 WOR = SamplingScheme.WITHOUT_REPLACEMENT
@@ -256,6 +256,26 @@ def test_discrete_mi_nondecreasing_under_gradient_scaling(scheme):
         assert scaled >= base - 1e-12
 
 
+@pytest.mark.parametrize("scheme,key", [(BER, "bernoulli"), (WOR, "wor")], ids=["bernoulli", "wor"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_discrete_mi_matches_fraction_reference(scheme, key, n):
+    # plain rows, j's row zeroed, and two equal rows (their sums coincide, so
+    # atoms from different batches must merge)
+    rng = np.random.default_rng(100 + n)
+    for variant in ("plain", "zeroed", "equal"):
+        nt = int(rng.integers(1, n))
+        b = int(rng.integers(1, nt + 1))
+        j = int(rng.integers(0, n))
+        g = rng.normal(size=(n, int(rng.integers(1, 3))))
+        if variant == "zeroed":
+            g[j] = 0.0
+        elif variant == "equal":
+            a, c = rng.choice(n, size=2, replace=False)
+            g[a] = g[c]
+        mi = exact_discrete_mi(GradientSet(g), cfg_of(n, nt, b, scheme), j)
+        assert mi == pytest.approx(ref_discrete_mi(g, nt, b, key, j), abs=1e-12)
+
+
 def test_discrete_mi_capacity_cap():
     g = np.zeros((DISCRETE_MI_MAX_N + 1, 2))
     cfg = cfg_of(DISCRETE_MI_MAX_N + 1, 3, 1)
@@ -266,9 +286,27 @@ def test_discrete_mi_capacity_cap():
 # self-test harness -----------------------------------------------------------------
 
 
+# The battery's checks, pinned in order: a dropped or added check shows up in the diff.
+CHECKS = [
+    ("indicator_variances", "without_replacement"),
+    ("indicator_variances", "independent_bernoulli"),
+    ("cross_covariance_independence", "independent_bernoulli"),
+    ("cross_covariance_wor_value", "without_replacement"),
+    ("covariance_closed_form", "independent_bernoulli"),
+    ("pdet_rank_one", "any"),
+    ("gaussian_vs_kappa_leakage", "independent_bernoulli"),
+    ("kappa_ratio_limit", "without_replacement"),
+    ("exact_ratio_vs_asymptotic_gap", "without_replacement"),
+    ("discrete_mi_bounds", "independent_bernoulli"),
+    ("wor_zero_gradient_coupling", "without_replacement"),
+    ("guarded_downdate_vs_pinv", "any"),
+    ("near_cutoff_downdate_vs_pinv", "any"),
+]
+
+
 def test_formula_checks_all_pass():
     report = run_oracle_checks(seed=0)
-    assert len(report.checks) >= 8
+    assert [(c.formula, c.scheme) for c in report.checks] == CHECKS
     assert all(c.passed for c in report.checks)
 
 

@@ -1,5 +1,8 @@
 """Two-level sampling: indicator draws, closed-form moments, enumeration."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from gnqaudit import (
     enumerate_exact_moments,
     indicator_moments,
 )
-from gnqaudit.sampling import batch_indices, train_indicator
+from gnqaudit.sampling import batch_indices, count_law, state_laws, train_indicator
 from oracles import enum_indicator_moments
 
 WOR = SamplingScheme.WITHOUT_REPLACEMENT
@@ -201,6 +204,51 @@ def test_kappa_ratio_limit():
 
 
 # enumerate_exact_moments -----------------------------------------------------
+
+
+def law_grid():
+    """Every (n, n_train, B) with n 1-10, n_train in {1, about n/2, n} and B in {1, n_train}."""
+    return [
+        (n, nt, b)
+        for n in range(1, 11)
+        for nt in sorted({1, max(1, n // 2), n})
+        for b in sorted({1, nt})
+    ]
+
+
+@pytest.mark.parametrize("scheme", [WOR, BER], ids=["wor", "bernoulli"])
+def test_count_law_sums_to_one_exactly(scheme):
+    for n, nt, b in law_grid():
+        law = count_law(cfg_of(n, nt, b, scheme))
+        total = sum(
+            math.comb(n, n_in) * math.comb(n_in, k) * law[n_in][k]
+            for n_in in range(n + 1)
+            for k in range(n_in + 1)
+        )
+        assert total == 1, (n, nt, b)
+
+
+@pytest.mark.parametrize("scheme", [WOR, BER], ids=["wor", "bernoulli"])
+def test_state_probabilities_are_correctly_rounded(scheme):
+    # Each state's exact probability is the product of its examples' factors
+    # (times the uniform training-set weight without replacement); float()
+    # of a Fraction rounds correctly, so the enumeration must equal it bitwise.
+    for n, nt, b in law_grid():
+        digits, (probs, _, _) = state_laws(cfg_of(n, nt, b, scheme), 0)
+        pb, pt = Fraction(b, nt), Fraction(nt, n)
+        if scheme is WOR:
+            factor = (Fraction(1), 1 - pb, pb)
+        else:
+            factor = (1 - pt, pt * (1 - pb), pt * pb)
+        counts = np.stack([(digits == d).sum(axis=1) for d in range(3)], axis=1)
+        kinds, which = np.unique(counts, axis=0, return_inverse=True)
+        exact = []
+        for n_out, n_skip, n_batched in kinds.tolist():
+            p = factor[0] ** n_out * factor[1] ** n_skip * factor[2] ** n_batched
+            if scheme is WOR:
+                p = p / math.comb(n, nt) if n_skip + n_batched == nt else Fraction(0)
+            exact.append(float(p))
+        assert np.array_equal(probs, np.array(exact)[which.ravel()]), (n, nt, b)
 
 
 def test_enumeration_capacity_error():
