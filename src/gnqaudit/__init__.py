@@ -19,7 +19,6 @@ from .bounds import (
     fano_error_bound,
     inverse_binary_entropy,
     per_iteration_leakage,
-    per_iteration_leakage_exact_ratio,
     per_iteration_leakage_general,
     prior_entropy,
 )

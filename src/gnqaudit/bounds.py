@@ -21,10 +21,11 @@ scores gives arrays, so `fano_chain` turns a whole audit's (audits, examples)
 bits into every example's total and floor at once, and the `bound` command
 reads the same functions one score at a time.
 
-`per_iteration_leakage` uses the asymptotic variance ratio kappa; the
-finite-population variant `per_iteration_leakage_exact_ratio` keeps the exact
-variance ratios (which contribute a parameter-count power each) and exists to
-measure how much the asymptotic simplification gives away on small instances.
+`per_iteration_leakage` uses the variance ratio kappa, exact at finite N
+under independent_bernoulli sampling and asymptotic under
+without_replacement. `per_iteration_leakage_general` combines any three
+entropies; the oracle feeds it the Gaussian entropies of the update
+covariances to check the kappa formula.
 """
 
 from __future__ import annotations
@@ -101,37 +102,6 @@ def per_iteration_leakage(gnq: float | np.ndarray, cfg: SamplingConfig) -> float
         prior = cfg.n_train / cfg.n_total
         bits = 0.5 * (np.log2(1.0 + g) - prior * np.log2(1.0 + kappa * g))
     return _as_given(bits)
-
-
-def per_iteration_leakage_exact_ratio(gnq: float, cfg: SamplingConfig, n_params: int) -> float:
-    """Finite-population variant keeping the exact variance ratios.
-
-    The Gaussian-entropy difference carries each variance ratio to the
-    parameter-count power, so this needs n_params. With the
-    independent_bernoulli scheme the conditional ratios are 1 and the self
-    ratio equals kappa, so the result coincides with `per_iteration_leakage`;
-    under without_replacement it differs at small N and the gap is what the
-    oracle reports.
-    """
-    if gnq < 0:
-        raise ConfigurationError(f"gnq must be nonnegative, got {gnq}")
-    if n_params < 1:
-        raise ConfigurationError(f"n_params must be >= 1, got {n_params}")
-    if cfg.n_train == cfg.n_total:
-        return 0.0
-    m = indicator_moments(cfg)
-    if m.var_given_out <= 0.0 or m.var_given_in <= 0.0:
-        raise ConfigurationError(
-            "exact-ratio leakage needs nondegenerate conditional variances "
-            f"(got given_out={m.var_given_out}, given_in={m.var_given_in})"
-        )
-    r_out = m.var_unconditional / m.var_given_out
-    r_in = m.var_given_in / m.var_given_out
-    r_self = m.var_self_given_in / m.var_given_in
-    prior = cfg.n_train / cfg.n_total
-    term_full = n_params * np.log2(r_out) + np.log2(1.0 + gnq)
-    term_cond = n_params * np.log2(r_in) + np.log2(1.0 + r_self * gnq)
-    return float(0.5 * (term_full - prior * term_cond))
 
 
 def per_iteration_leakage_general(

@@ -399,17 +399,8 @@ def cmd_defend(cfg: RunConfig, args: argparse.Namespace) -> None:
         tol=cfg.audit.tol,
     )
     _write_provenance(cfg)
-    if len(reports) == 1:
-        write_report(
-            cfg.output_dir / "defense_report.json",
-            defense_report(reports[0], cfg.effective()),
-        )
-    else:
-        payload = {"sweep": [defense_report(r, cfg.effective()) for r in reports]}
-        write_report(
-            cfg.output_dir / "defense_report.json",
-            finalize_report("defense", payload, cfg.effective()),
-        )
+    runs = reports[0] if len(reports) == 1 else reports
+    write_report(cfg.output_dir / "defense_report.json", defense_report(runs, cfg.effective()))
     write_sweep_csv(cfg.output_dir / "sweep.csv", reports)
     moved = ", ".join(f"{r.auc_before:.3f}->{r.auc_after:.3f}" for r in reports)
     print(f"defense AUC {moved}; report in {cfg.output_dir}")

@@ -223,10 +223,15 @@ def attack_report(attack: AttackResult, config: dict, curve: BinnedCurve | None 
     return finalize_report("attack", payload, config)
 
 
-def defense_report(report: DefenseReport, config: dict) -> dict:
-    payload = dataclasses.asdict(report)
-    payload["n_removed"] = len(report.removed_ids)
-    return finalize_report("defense", payload, config)
+def defense_report(report: DefenseReport | list[DefenseReport], config: dict) -> dict:
+    """One run's fields at the top level, or a list of runs as a bare-field `sweep`."""
+
+    def run_fields(run: DefenseReport) -> dict:
+        return dataclasses.asdict(run) | {"n_removed": len(run.removed_ids)}
+
+    if isinstance(report, DefenseReport):
+        return finalize_report("defense", run_fields(report), config)
+    return finalize_report("defense", {"sweep": [run_fields(r) for r in report]}, config)
 
 
 def oracle_report(report: OracleReport, config: dict) -> dict:

@@ -13,14 +13,11 @@ from gnqaudit import (
     fano_error_bound,
     inverse_binary_entropy,
     per_iteration_leakage,
-    per_iteration_leakage_exact_ratio,
     per_iteration_leakage_general,
     prior_entropy,
 )
 from gnqaudit.bounds import fano_chain, growth_condition_holds
 from oracles import FROZEN, ref_binary_entropy, ref_inverse_binary_entropy, ref_leakage_bits
-
-BER = SamplingScheme.INDEPENDENT_BERNOULLI
 
 
 def cfg_of(n, nt, b, scheme=SamplingScheme.WITHOUT_REPLACEMENT):
@@ -104,25 +101,6 @@ def test_leakage_matches_mpmath(n_half, data, gnq):
     want = float(ref_leakage_bits(gnq, n, nt, b))
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
     assert got >= -1e-15
-
-
-def test_exact_ratio_variant_reduces_under_bernoulli():
-    # Under independent membership the conditional variances make the exact
-    # variance ratio equal the asymptotic one, so the two paths agree.
-    cfg = cfg_of(60, 30, 5, BER)
-    for g in (0.0, 0.3, 1.0, 12.0):
-        a = per_iteration_leakage(g, cfg)
-        b = per_iteration_leakage_exact_ratio(g, cfg, n_params=3)
-        assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
-
-
-def test_exact_ratio_variant_gap_under_wor():
-    cfg = cfg_of(20, 10, 2)
-    g = 2.0
-    gap = abs(
-        per_iteration_leakage_exact_ratio(g, cfg, n_params=4) - per_iteration_leakage(g, cfg)
-    )
-    assert np.isfinite(gap)
 
 
 # general three-entropy form ---------------------------------------------------

@@ -265,6 +265,9 @@ def test_defend_sweep_writes_one_row_per_fraction(tmp_path):
     report = json.loads((tmp_path / "ds" / "defense_report.json").read_text())
     assert len(report["sweep"]) == 3
     jsonschema.validate(report, SCHEMA)
+    # each entry holds the run's fields alone; the envelope is written once
+    run_fields = set(SCHEMA["$defs"]["defense_run"]["required"])
+    assert all(entry.keys() == run_fields for entry in report["sweep"])
     del report["sweep"][1]["auc_after"]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, SCHEMA)

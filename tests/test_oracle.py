@@ -10,7 +10,9 @@ from gnqaudit import (
     SamplingConfig,
     SamplingScheme,
 )
+from gnqaudit import oracle
 from gnqaudit.bounds import per_iteration_leakage, prior_entropy
+from gnqaudit.geometry import DEFAULT_TOL, gnq_exact, pdet_and_rank, pdet_rank_one, pinv_quadform
 from gnqaudit.oracle import (
     DISCRETE_MI_MAX_N,
     closed_form_covariances,
@@ -51,7 +53,6 @@ def test_single_nonzero_gradient_gives_scaled_rank_one_sigma():
     expected = np.zeros((2, 2))
     expected[0, 0] = c1_sq
     assert np.allclose(triple.sigma, expected, atol=1e-15)
-    assert triple.c1_sq == pytest.approx(c1_sq)
 
 
 def test_zero_scored_gradient_collapses_the_conditionals():
@@ -64,24 +65,27 @@ def test_zero_scored_gradient_collapses_the_conditionals():
 
 
 def test_rank_one_relations_hold_exactly():
+    # Sigma - Sigma0 = c1^2 g_j g_j^T and Sigma1 - Sigma0 = c2^2 g_j g_j^T
     rng = np.random.default_rng(3)
     for _ in range(20):
         grads, cfg = random_instance(rng)
-        j = int(rng.integers(grads.n_examples))
+        n, nt, b = cfg.n_total, cfg.n_train, cfg.batch_size
+        j = int(rng.integers(n))
         t = closed_form_covariances(grads, cfg, j)
         gj = grads.vectors[j]
-        r1 = t.sigma - t.sigma0 - t.c1_sq * np.outer(gj, gj)
-        r2 = t.sigma1 - t.sigma0 - t.c2_sq * np.outer(gj, gj)
+        r1 = t.sigma - t.sigma0 - (1.0 / (b * n)) * (1.0 - b / n) * np.outer(gj, gj)
+        r2 = t.sigma1 - t.sigma0 - (1.0 / (b * nt)) * (1.0 - b / nt) * np.outer(gj, gj)
         assert np.linalg.norm(r1) <= 1e-14
         assert np.linalg.norm(r2) <= 1e-14
 
 
 def test_scale_constants_match_their_definitions():
-    cfg = cfg_of(10, 5, 2)
+    # N = 10, n_train = 5, B = 2: c1^2 = (1/20)(1 - 1/5), c2^2 = (1/10)(1 - 2/5)
     g = np.random.default_rng(4).normal(size=(10, 2))
-    t = closed_form_covariances(GradientSet(g), cfg, 0)
-    assert t.c1_sq == pytest.approx((1.0 / (2 * 10)) * (1.0 - 2.0 / 10.0), rel=1e-15)
-    assert t.c2_sq == pytest.approx((1.0 / (2 * 5)) * (1.0 - 2.0 / 5.0), rel=1e-15)
+    t = closed_form_covariances(GradientSet(g), cfg_of(10, 5, 2), 0)
+    outer = np.outer(g[0], g[0])
+    assert np.allclose(t.sigma - t.sigma0, 0.04 * outer, rtol=1e-14, atol=1e-16)
+    assert np.allclose(t.sigma1 - t.sigma0, 0.06 * outer, rtol=1e-14, atol=1e-16)
 
 
 def test_closed_form_requires_independent_sampling():
@@ -188,16 +192,47 @@ def test_gaussian_path_matches_quadform_closed_form():
 
 
 def test_eigenvalue_and_rank_one_pdet_paths_agree():
-    # the same matrices scored through both code paths: closed-form triples
-    # take the rank-one shortcut, enumerated triples take eigenvalue products
+    # the leakage from eigenvalue pseudo-determinants of all three matrices
+    # equals the one from pdet(Sigma0) and the rank-one updates
+    # pdet(Sigma0) (1 + c^2 g_j^T Sigma0^+ g_j), on closed-form and enumerated triples
     rng = np.random.default_rng(15)
     for _ in range(5):
         grads, cfg = random_instance(rng, n=6, dim=3)
+        n, nt, b = cfg.n_total, cfg.n_train, cfg.batch_size
+        j = int(rng.integers(n))
+        closed = closed_form_covariances(grads, cfg, j)
+        pdet0, r0 = pdet_and_rank(closed.sigma0)
+        quad, in_range = pinv_quadform(closed.sigma0, grads.vectors[j], 1e-10)
+        assert in_range and r0 == 3
+        c1_sq = (1.0 / (b * n)) * (1.0 - b / n)
+        c2_sq = (1.0 / (b * nt)) * (1.0 - b / nt)
+        rank_one = 0.5 * (
+            np.log2(pdet_rank_one(pdet0, c1_sq * quad) / pdet0)
+            - (nt / n) * np.log2(pdet_rank_one(pdet0, c2_sq * quad) / pdet0)
+        )
+        for triple in (closed, enumerate_covariances(grads, cfg, j)):
+            via_eigh = gaussian_leakage_from_covariances(triple, cfg)
+            assert via_eigh.bits == pytest.approx(rank_one, abs=1e-9)
+            assert via_eigh.ranks == (3, 3, 3)
+
+
+def test_gaussian_leakage_reads_every_pseudo_determinant(monkeypatch):
+    # A pdet that comes back squared doubles the leakage; a route that rebuilt
+    # pdet(Sigma) and pdet(Sigma1) from pdet(Sigma0) and gnq would hide it.
+    true_pdet_and_rank = oracle.pdet_and_rank
+
+    def squared(s, tol=DEFAULT_TOL):
+        pdet, rank = true_pdet_and_rank(s, tol)
+        return pdet**2, rank
+
+    monkeypatch.setattr(oracle, "pdet_and_rank", squared)
+    rng = np.random.default_rng(27)
+    for _ in range(4):
+        grads, cfg = random_instance(rng, n=6, dim=3)
         j = int(rng.integers(6))
-        via_shortcut = gaussian_leakage_from_covariances(closed_form_covariances(grads, cfg, j), cfg)
-        via_eigh = gaussian_leakage_from_covariances(enumerate_covariances(grads, cfg, j), cfg)
-        assert via_shortcut.bits == pytest.approx(via_eigh.bits, abs=1e-9)
-        assert via_shortcut.ranks == via_eigh.ranks
+        gnq, _ = gnq_exact(grads, j, 1e-10)
+        gauss = gaussian_leakage_from_covariances(closed_form_covariances(grads, cfg, j), cfg)
+        assert abs(gauss.bits - per_iteration_leakage(gnq, cfg)) > 1e-6
 
 
 def test_gaussian_leakage_nonnegative_on_random_instances():
@@ -296,7 +331,6 @@ CHECKS = [
     ("pdet_rank_one", "any"),
     ("gaussian_vs_kappa_leakage", "independent_bernoulli"),
     ("kappa_ratio_limit", "without_replacement"),
-    ("exact_ratio_vs_asymptotic_gap", "without_replacement"),
     ("discrete_mi_bounds", "independent_bernoulli"),
     ("wor_zero_gradient_coupling", "without_replacement"),
     ("guarded_downdate_vs_pinv", "any"),
