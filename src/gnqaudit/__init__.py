@@ -78,11 +78,9 @@ from .oracle import (
     run_oracle_checks,
 )
 from .sampling import (
-    IndicatorDraw,
     IndicatorMoments,
     SamplingConfig,
     SamplingScheme,
-    draw_indicators,
     enumerate_exact_moments,
     indicator_moments,
 )

@@ -43,7 +43,7 @@ from .data import (
     make_outlier_regression_dataset,
     save_csv_dataset,
 )
-from .defense import rank_examples, run_defense_sweep
+from .defense import run_defense_sweep
 from .errors import AuditError, ConfigurationError, VerificationError
 from .geometry import DEFAULT_TOL, GramMode
 from .models import ModelSpec, gradient_all
@@ -318,11 +318,10 @@ def cmd_audit(cfg: RunConfig, args: argparse.Namespace) -> None:
     record = audit(
         traj, data, mode=cfg.audit.mode, cadence=cfg.audit.cadence, tol=cfg.audit.tol
     )
-    ranking = rank_examples(record)
     _write_provenance(cfg)
     write_report(
         cfg.output_dir / "audit_report.json",
-        audit_report(record, cfg.effective(), ranking),
+        audit_report(record, traj.cfg, cfg.effective()),
         meta=audit_health(record),
     )
     write_scores_csv(cfg.output_dir / "scores.csv", record)

@@ -26,7 +26,10 @@ from .sampling import _DATA_TAG, stream
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus targets; targets are int64 exactly for classification."""
+    """Feature matrix plus targets; targets are int64 exactly for classification.
+
+    A non-finite feature or target is refused, naming its row and column.
+    """
 
     features: np.ndarray
     targets: np.ndarray
@@ -39,6 +42,10 @@ class Dataset:
         t = np.asarray(self.targets)
         if t.shape != (f.shape[0],):
             raise ShapeError(f"targets shape {t.shape} does not match {f.shape[0]} rows")
+        for name, values in (("features", f), ("targets", t[:, None])):
+            if values.dtype.kind == "f" and not np.isfinite(values).all():
+                row, col = np.argwhere(~np.isfinite(values))[0].tolist()
+                raise ConfigurationError(f"{name} hold a non-finite value at row {row}, column {col}")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "targets", t)
         if self.membership is not None:
@@ -199,4 +206,11 @@ def load_csv_dataset(path: str | Path, target_column: str = "target") -> Dataset
             targets = np.array([float(v) for v in raw_targets], dtype=np.float64)
         except ValueError as exc:
             raise ConfigurationError(f"{path}: non-numeric target: {exc}") from None
-    return Dataset(features=np.array(features), targets=targets)
+    feature_array = np.array(features)
+    table = np.column_stack([feature_array, targets])
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0].tolist()
+        column = ([header[i] for i in feature_idx] + [target_column])[col]
+        value = float(table[row, col])
+        raise ConfigurationError(f"{path}: line {row + 2}: non-finite value {value!r} in column {column!r}")
+    return Dataset(features=feature_array, targets=targets)

@@ -136,6 +136,7 @@ class SpectrumHealth:
     null: int  # eigenvalues at or below eigh's backward error, taken as zero
     near_cutoff: tuple[float, ...]  # the others, as ratios to the cutoff
     secular: int  # rows scored through roots of the secular equation
+    fallbacks: dict[str, int]  # rows needing their own factorization, by FallbackReason value
 
 
 def _psd_eig(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -314,11 +315,13 @@ def downdate_guard(
         secular[idx] = need_top | active.any(axis=1) | low[idx]
     reasons[out_of_range] = FallbackReason.OUT_OF_RANGE.value
     reasons[crossing] = FallbackReason.CROSSING.value
+    names, counts = np.unique(reasons[reasons != ""], return_counts=True)
     health = SpectrumHealth(
         rank=int(keep.sum()),
         null=int(null.sum()),
         near_cutoff=tuple((wn[:d] / cutoff).tolist()),
         secular=int(np.sum(secular & (reasons == ""))),
+        fallbacks=dict(zip(names.tolist(), counts.tolist())),
     )
     return values, range_ok, reasons, health
 

@@ -25,9 +25,11 @@ import numpy as np
 
 from ._version import __version__
 from .attack import AttackResult, BinnedCurve
+from .bounds import fano_chain, per_iteration_leakage, prior_entropy
 from .canonical import json_default, write_json
-from .defense import DefenseReport
+from .defense import DefenseReport, rank_examples
 from .oracle import OracleReport
+from .sampling import SamplingConfig
 from .training import AuditRecord
 
 
@@ -133,31 +135,32 @@ def write_sweep_csv(path: str | Path, reports: list[DefenseReport]) -> Path:
     ))
 
 
-def audit_report(record: AuditRecord, config: dict, ranking: np.ndarray) -> dict:
-    """Per-example audit summary: cumulative scores, bounds, ranking, flags.
+def audit_report(record: AuditRecord, sampling: SamplingConfig, config: dict) -> dict:
+    """Per-example audit summary: cumulative scores, leakage chain, ranking, flags.
 
-    total_bits sums per_iteration_bits over the audited iterations only,
-    `record.audited_iterations`: 0 .. n_iters - 1 for every-iteration
-    audits, the multiples of the epoch length plus the final state n_iters
-    for every-epoch audits (whose first audited point is the epoch length,
-    not 0), and n_iters alone for final-only audits.
+    The chain is derived only here: bits, prior, totals and Fano floors from
+    the scores and the sampling config. Totals sum over the audited
+    iterations only, so the floors are bounds only for a full_exact
+    every-iteration audit. The ranking is `rank_examples(record)`.
     """
-    fano = record.fano
+    prior = prior_entropy(sampling.n_train, sampling.n_total)
+    bits = per_iteration_leakage(record.values, sampling)
+    totals, fano = fano_chain(prior, bits)
     per_example = [
         {
             "example": j,
-            "prior_entropy_bits": record.prior_entropy_bits,
-            "per_iteration_bits": bits,
+            "prior_entropy_bits": prior,
+            "per_iteration_bits": column,
             "total_bits": total,
             "fano_entropy_bits": remaining,
             "pe_lower": pe,
             "vacuous": vacuous,
             "cumulative_gnq": cum,
         }
-        for j, (bits, total, remaining, pe, vacuous, cum) in enumerate(
+        for j, (column, total, remaining, pe, vacuous, cum) in enumerate(
             zip(
-                record.per_iteration_bits.T.tolist(),
-                record.total_bits.tolist(),
+                bits.T.tolist(),
+                totals.tolist(),
                 fano.fano_entropy_bits.tolist(),
                 fano.pe_lower.tolist(),
                 fano.vacuous.tolist(),
@@ -172,7 +175,7 @@ def audit_report(record: AuditRecord, config: dict, ranking: np.ndarray) -> dict
         "tol": record.tol,
         "audited_iterations": list(record.audited_iterations),
         "per_example": per_example,
-        "ranking": [int(i) for i in ranking],
+        "ranking": rank_examples(record).tolist(),
         "flags": {
             "range_violations": [int(i) for i in range_violations],
             "vacuous_bounds": np.flatnonzero(fano.vacuous).tolist(),
@@ -190,14 +193,13 @@ def audit_health(record: AuditRecord) -> dict:
     eigenvalues as ratios to the cutoff, and the rows scored through the
     secular correction.
     """
-    by_reason: Counter[str] = Counter()
-    for counts in record.fallbacks.values():
-        by_reason.update(counts)
+    by_iteration = {str(it): h.fallbacks for it, h in record.spectra.items() if h.fallbacks}
+    by_reason = sum(map(Counter, by_iteration.values()), Counter())
     return {
         "fallbacks": {
             "total": sum(by_reason.values()),
             "by_reason": dict(by_reason),
-            "by_iteration": {str(it): counts for it, counts in record.fallbacks.items()},
+            "by_iteration": by_iteration,
         },
         "spectra": {
             str(it): {

@@ -4,7 +4,8 @@ Membership is modeled by two layers of indicators over a public pool of N
 examples: a training indicator T_n selecting the n_train-point training set,
 and a per-iteration batch indicator M_in with P[M_in = 1 | T_n = 1] = B/n_train.
 An example contributes to the iteration-i gradient iff T_n * M_in = 1, so the
-realized batch size is random with mean B.
+realized batch size is random with mean B. `train_indicator` draws the
+training set and `batch_indices`, the one route to the batches, each batch.
 
 Two training-set schemes are supported:
 
@@ -204,22 +205,6 @@ class SamplingConfig(ConfigSection):
 
 
 @dataclass(frozen=True)
-class IndicatorDraw:
-    """One iteration's indicator realization.
-
-    t[n] is the training indicator, m[n] the batch indicator; an example is in
-    the realized batch iff t[n] * m[n] = 1. m is only ever set where t is set.
-    """
-
-    t: np.ndarray
-    m: np.ndarray
-
-    @property
-    def batch_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.t * self.m)
-
-
-@dataclass(frozen=True)
 class IndicatorMoments:
     """Closed-form indicator variances and the asymptotic variance ratio kappa.
 
@@ -252,31 +237,11 @@ def train_indicator(cfg: SamplingConfig) -> np.ndarray:
     return t
 
 
-def draw_indicators(cfg: SamplingConfig, iteration: int) -> IndicatorDraw:
-    """Draw the iteration's indicators.
-
-    The training indicator depends only on cfg.seed, so every iteration of one
-    run shares it (the same read-only array); the batch indicator stream is
-    keyed by (seed, iteration), so draws for distinct iterations can be
-    produced in any order and still match a sequential run bit for bit.
-    Checkpoints store no batches: this function and `batch_indices`, which
-    `train` draws through, read the same streams and give the same batches.
-    """
-    if iteration < 0:
-        raise ConfigurationError(f"iteration must be >= 0, got {iteration}")
-    t = train_indicator(cfg)
-    rng = stream(cfg.seed, _STEP_TAG, iteration)
-    # Bernoulli(B / n_train) per training member; B = n_train forces m = t.
-    u = rng.random(cfg.n_total)
-    m = np.where(t == 1, (u < cfg.batch_size / cfg.n_train).astype(np.uint8), 0).astype(np.uint8)
-    return IndicatorDraw(t=t, m=m)
-
-
 def batch_indices(cfg: SamplingConfig) -> Iterator[np.ndarray]:
     """Each iteration's realized batch, ascending, for iterations 0 .. n_iters - 1.
 
-    Yields draw_indicators(cfg, i).batch_indices from the same streams,
-    without building the two indicator arrays at every step.
+    The one route to the batches. Batch i is the training members whose
+    draw from the stream keyed by (seed, i) falls below B / n_train.
     """
     members = np.flatnonzero(train_indicator(cfg))
     rate = cfg.batch_size / cfg.n_train

@@ -14,8 +14,8 @@ not a pairwise sum. So trajectories are bit-identical across runs for
 identical (config, data).
 
 An audit walks recorded parameter vectors, recomputes every example's
-gradient there, scores uniqueness in the requested mode, and converts all
-the scores into leakage bits and Fano floors in one elementwise pass.
+gradient there and scores uniqueness in the requested mode; bits and floors
+are derived from the scores only where reported (`reports.audit_report`).
 Storing parameters and recomputing gradients keeps memory at
 O(N_p * n_iters + N * N_p) instead of O(N * n_iters * N_p); the CLI's
 gradient dump recomputes and writes one iteration's matrix at a time, so the
@@ -24,8 +24,8 @@ the parameter array row by row and holds the array plus one row's text.
 
 A checkpoint stores parameters only. Training membership and every
 iteration's batch are redrawn from the sampling config's counter-based
-streams (`draw_indicators`; `batch_indices` yields the same batches in
-order), so the seed is their one source of truth.
+streams (`train_indicator`, and `batch_indices`, the one route to the
+batches), so the seed is their one source of truth.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .bounds import FanoBound, fano_chain, per_iteration_leakage, prior_entropy
 from .canonical import write_json
 from .data import Dataset
 from .errors import CapacityError, ConfigurationError, DivergenceError, ShapeError
@@ -60,7 +59,7 @@ class AuditCadence(enum.Enum):
 class TrainingTrajectory:
     """Everything needed to replay or audit one training run.
 
-    Batches are not stored: draw_indicators(cfg, i) regenerates iteration i's.
+    Batches are not stored: batch_indices(cfg) regenerates them in order.
     """
 
     cfg: SamplingConfig
@@ -86,19 +85,12 @@ class TrainingTrajectory:
 
 @dataclass(frozen=True)
 class AuditRecord:
-    """Per-iteration uniqueness scores plus the leakage chain they imply.
+    """Per-iteration uniqueness scores and the health of each factorization.
 
     values[r, j] and range_ok[r, j] are example j's score and range flag at
     audited_iterations[r]; cumulative_gnq[j] is the sum of column j of
-    values. The chain is stored as arrays: per_iteration_bits[r, j] is the
-    leakage of values[r, j]; total_bits[j] sums column j; the fields of fano
-    (fano_entropy_bits, pe_lower, vacuous) are per example like total_bits;
-    prior_entropy_bits is the one prior every example shares.
-    fallbacks maps an audited iteration to how many exact scores there were
-    recomputed from their own factorization, by FallbackReason value;
-    iterations without fallbacks are absent.
-    spectra maps each iteration an exact mode audited to the health of the
-    Gram matrix it factored.
+    values. spectra maps each iteration an exact mode audited to the health
+    of the Gram matrix it factored, its fallback counts included.
     """
 
     mode: GramMode
@@ -107,12 +99,7 @@ class AuditRecord:
     values: np.ndarray
     range_ok: np.ndarray
     cumulative_gnq: np.ndarray
-    prior_entropy_bits: float
-    per_iteration_bits: np.ndarray
-    total_bits: np.ndarray
-    fano: FanoBound
     tol: float
-    fallbacks: dict[int, dict[str, int]] = field(default_factory=dict)
     spectra: dict[int, SpectrumHealth] = field(default_factory=dict)
 
     @property
@@ -223,7 +210,6 @@ def audit(
     n = traj.cfg.n_total
     values = np.zeros((len(iters), n))
     range_ok = np.zeros((len(iters), n), dtype=bool)
-    fallbacks: dict[int, dict[str, int]] = {}
     spectra: dict[int, SpectrumHealth] = {}
     grads = np.empty((n, traj.model.n_params))
     work = None if exact else np.empty_like(grads)
@@ -234,15 +220,9 @@ def audit(
         # GradientSet rejects non-finite gradients from a corrupt checkpoint.
         GradientSet(grads)
         if exact:
-            values[row], range_ok[row], reasons, spectra[i] = loo_scores(grads, tol)
-            names, counts = np.unique(reasons[reasons != ""], return_counts=True)
-            if names.size:
-                fallbacks[i] = dict(zip(names.tolist(), counts.tolist()))
+            values[row], range_ok[row], _, spectra[i] = loo_scores(grads, tol)
         else:
             values[row], range_ok[row] = diagonal_scores(grads, work)
-    prior = prior_entropy(traj.cfg.n_train, traj.cfg.n_total)
-    bits = per_iteration_leakage(values, traj.cfg)
-    total, fano = fano_chain(prior, bits)
     return AuditRecord(
         mode=mode,
         cadence=cadence,
@@ -250,12 +230,7 @@ def audit(
         values=values,
         range_ok=range_ok,
         cumulative_gnq=values.sum(axis=0),
-        prior_entropy_bits=prior,
-        per_iteration_bits=bits,
-        total_bits=total,
-        fano=fano,
         tol=tol,
-        fallbacks=fallbacks,
         spectra=spectra,
     )
 

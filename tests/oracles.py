@@ -103,6 +103,19 @@ def enum_indicator_moments(n, nt, b, scheme, j=0):
     return out
 
 
+def ref_batch(t, seed, iteration, n_train, batch_size):
+    """Iteration's realized batch from the full indicator arrays, ascending.
+
+    t is the 0/1 training indicator over the pool. The batch indicator m is
+    set where t is set and the uniform draw of the stream keyed by
+    (seed, 2, iteration) -- the batch tag -- falls below B / n_train; the
+    batch is every n with t[n] & m[n].
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 2, iteration])))
+    m = (rng.random(t.shape[0]) < batch_size / n_train).astype(np.uint8)
+    return np.flatnonzero(t & m)
+
+
 def enum_update_covariances(vectors, nt, b, scheme, j=0):
     """Exact covariances of the normalized update u = sum_n T_n M_n g_n / B.
 

@@ -403,6 +403,41 @@ def test_missing_required_section_exits_2(tmp_path, capsys):
     assert "section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, cell, column",
+    [
+        ("logistic", "nan", "f1"),
+        ("logistic", "inf", "f1"),
+        ("logistic", "-inf", "f1"),
+        ("logistic", "1e400", "f1"),
+        ("linear2d", "nan", "target"),
+    ],
+)
+def test_non_finite_data_is_refused_at_load(tmp_path, capsys, kind, cell, column):
+    # A bad cell must not reach training, where it would pass unnoticed in a
+    # row no batch reaches or be reported as a divergence (exit 4).
+    n_features = 2 if kind == "logistic" else 1
+    rows = [[str(0.1 * i + k) for k in range(n_features)] + [str(i % 2)] for i in range(20)]
+    header = [f"f{k}" for k in range(n_features)] + ["target"]
+    rows[5][header.index(column)] = cell
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    model = {"kind": kind, "input_dim": n_features} | ({"n_classes": 2} if kind == "logistic" else {})
+    cfgp = write_config(
+        tmp_path,
+        {
+            "sampling": {"n_total": 20, "n_train": 10, "batch_size": 5, "n_iters": 3, "learning_rate": 0.1},
+            "model": model,
+            "dataset": {"kind": "csv", "path": str(data)},
+            "output_dir": str(tmp_path / "run"),
+        },
+    )
+    assert main(["train", "--config", cfgp]) == 2
+    assert not (tmp_path / "run" / "trajectory.json").exists()
+    err = capsys.readouterr().err
+    assert "line 7: non-finite value" in err and f"in column {column!r}" in err
+
+
 def test_divergent_run_exits_4(tmp_path):
     cfgp = write_config(
         tmp_path,

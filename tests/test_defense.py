@@ -15,7 +15,6 @@ from gnqaudit import (
     make_blobs,
     train,
 )
-from gnqaudit.bounds import fano_error_bound
 from gnqaudit.defense import rank_examples, run_defense, run_defense_sweep, split_pool
 from gnqaudit.training import AuditCadence, AuditRecord, audit
 
@@ -36,10 +35,6 @@ def fake_record(gnq):
         values=np.asarray([gnq], dtype=np.float64),
         range_ok=np.ones((1, len(gnq)), dtype=bool),
         cumulative_gnq=np.asarray(gnq, dtype=np.float64),
-        prior_entropy_bits=1.0,
-        per_iteration_bits=np.zeros((1, len(gnq))),
-        total_bits=np.zeros(len(gnq)),
-        fano=fano_error_bound(1.0, np.zeros(len(gnq))),
         tol=1e-10,
     )
 

@@ -20,7 +20,7 @@ from gnqaudit import (
 from gnqaudit.geometry import FallbackReason, downdate_guard, pdet_and_rank
 from gnqaudit.defense import split_pool
 from gnqaudit.models import ModelSpec, gradient_all, init_params
-from gnqaudit.sampling import SamplingConfig, draw_indicators
+from gnqaudit.sampling import SamplingConfig, batch_indices
 from gnqaudit.training import train
 from oracles import ref_gnq, ref_in_range, ref_kept_count, ref_pdet
 
@@ -284,7 +284,7 @@ def test_member_row_the_factorization_does_not_resolve_falls_back():
     cfg = SamplingConfig(400, 200, 25, 400, 1.0, seed=2)
     pool, _ = split_pool(make_blobs([250, 250], 16, 2.5, 1.75, seed=102), cfg)
     traj = train(cfg, spec, pool)
-    rows = draw_indicators(cfg, 368).batch_indices
+    rows = list(batch_indices(cfg))[368]
     g = gradient_all(spec, traj.params_per_iter[368], pool.features[rows], pool.targets[rows])
     values, range_ok, reasons = loo(g)
     assert reasons[22] == OUT_OF_RANGE

@@ -5,6 +5,7 @@ import pytest
 
 from gnqaudit import (
     ConfigurationError,
+    Dataset,
     GradientSet,
     ModelKind,
     ModelSpec,
@@ -272,6 +273,18 @@ def test_csv_non_numeric_cell(tmp_path):
     p.write_text("x_0,target\n1.0,zero\n")
     with pytest.raises(ConfigurationError):
         load_csv_dataset(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_refuses_non_finite_values_naming_row_and_column(value):
+    features = np.zeros((4, 3))
+    features[2, 1] = value
+    with pytest.raises(ConfigurationError, match="features .* row 2, column 1"):
+        Dataset(features=features, targets=np.zeros(4))
+    targets = np.zeros(4)
+    targets[3] = value
+    with pytest.raises(ConfigurationError, match="targets .* row 3"):
+        Dataset(features=np.zeros((4, 3)), targets=targets)
 
 
 def test_csv_missing_file(tmp_path):

@@ -198,10 +198,11 @@ def test_finalize_report_stamps_provenance():
 
 def test_audit_report_conforms(small_run):
     _, cfg, _, _, record, _ = small_run
-    rep = audit_report(record, {"sampling": {"n_total": cfg.n_total}}, rank_examples(record))
+    rep = audit_report(record, cfg, {"sampling": {"n_total": cfg.n_total}})
     jsonschema.validate(rep, REPORT_SCHEMA)
     assert rep["report_kind"] == "audit"
     assert len(rep["per_example"]) == 8
+    assert rep["ranking"] == rank_examples(record).tolist()
     assert sorted(rep["ranking"]) == list(range(8))
 
 
@@ -309,7 +310,7 @@ def test_config_schema_dataset_limits_are_the_builder_table():
 
 def test_write_report_is_byte_stable(tmp_path, small_run):
     _, cfg, _, _, record, _ = small_run
-    rep = audit_report(record, {"sampling": {"n_total": cfg.n_total}}, rank_examples(record))
+    rep = audit_report(record, cfg, {"sampling": {"n_total": cfg.n_total}})
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_report(a, rep)
     write_report(b, rep)

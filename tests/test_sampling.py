@@ -1,4 +1,4 @@
-"""Two-level sampling: indicator draws, closed-form moments, enumeration."""
+"""Two-level sampling: membership and batch draws, closed-form moments, enumeration."""
 
 import math
 from fractions import Fraction
@@ -13,12 +13,11 @@ from gnqaudit import (
     ConfigurationError,
     SamplingConfig,
     SamplingScheme,
-    draw_indicators,
     enumerate_exact_moments,
     indicator_moments,
 )
 from gnqaudit.sampling import batch_indices, count_law, state_laws, train_indicator
-from oracles import enum_indicator_moments
+from oracles import enum_indicator_moments, ref_batch
 
 WOR = SamplingScheme.WITHOUT_REPLACEMENT
 BER = SamplingScheme.INDEPENDENT_BERNOULLI
@@ -56,54 +55,60 @@ def test_zero_iterations_rejected():
         cfg_of(4, 2, 1, n_iters=0)
 
 
-# draw_indicators -------------------------------------------------------------
+# train_indicator and batch_indices -------------------------------------------
 
 
 def test_full_inclusion_forced():
-    draw = draw_indicators(cfg_of(4, 4, 4), 0)
-    assert draw.t.tolist() == [1, 1, 1, 1]
-    assert draw.m.tolist() == [1, 1, 1, 1]
+    cfg = cfg_of(4, 4, 4)
+    assert train_indicator(cfg).tolist() == [1, 1, 1, 1]
+    assert [b.tolist() for b in batch_indices(cfg)] == [[0, 1, 2, 3]]
 
 
 def test_batch_equals_train_when_b_is_nt():
-    for it in range(20):
-        draw = draw_indicators(cfg_of(4, 2, 2, seed=3), it)
-        assert int(draw.t.sum()) == 2
-        assert np.array_equal(draw.m, draw.t)
+    cfg = cfg_of(4, 2, 2, seed=3, n_iters=20)
+    t = train_indicator(cfg)
+    assert int(t.sum()) == 2
+    for batch in batch_indices(cfg):
+        assert np.array_equal(batch, np.flatnonzero(t))
 
 
 def test_membership_implies_training():
     for scheme in (WOR, BER):
-        for it in range(50):
-            draw = draw_indicators(cfg_of(10, 6, 3, scheme, seed=11), it)
-            assert np.all(draw.t[draw.m == 1] == 1)
-            if scheme is WOR:
-                assert int(draw.t.sum()) == 6
+        cfg = cfg_of(10, 6, 3, scheme, seed=11, n_iters=50)
+        t = train_indicator(cfg)
+        for batch in batch_indices(cfg):
+            assert np.all(t[batch] == 1)
+        if scheme is WOR:
+            assert int(t.sum()) == 6
 
 
 def test_draws_deterministic_per_key():
-    a = draw_indicators(cfg_of(30, 12, 5, seed=42), 7)
-    b = draw_indicators(cfg_of(30, 12, 5, seed=42), 7)
-    c = draw_indicators(cfg_of(30, 12, 5, seed=43), 7)
-    assert np.array_equal(a.t, b.t) and np.array_equal(a.m, b.m)
-    assert not (np.array_equal(a.t, c.t) and np.array_equal(a.m, c.m))
+    def draw(seed):
+        cfg = cfg_of(30, 12, 5, seed=seed, n_iters=8)
+        return train_indicator(cfg), list(batch_indices(cfg))[7]
+
+    (ta, ma), (tb, mb), (tc, mc) = draw(42), draw(42), draw(43)
+    assert np.array_equal(ta, tb) and np.array_equal(ma, mb)
+    assert not (np.array_equal(ta, tc) and np.array_equal(ma, mc))
 
 
 def test_training_draw_is_shared_and_read_only():
     cfg = cfg_of(30, 12, 5, BER, seed=42)
-    a, b = draw_indicators(cfg, 0), draw_indicators(cfg, 5)
-    assert a.t is b.t
+    t = train_indicator(cfg)
+    assert train_indicator(cfg) is t
     with pytest.raises(ValueError):
-        a.t[0] = 1 - a.t[0]
-    assert np.array_equal(a.t, train_indicator.__wrapped__(cfg))
+        t[0] = 1 - t[0]
+    assert np.array_equal(t, train_indicator.__wrapped__(cfg))
 
 
-def test_draws_independent_of_call_order():
-    cfg = cfg_of(20, 10, 4, BER, seed=9)
-    forward = [draw_indicators(cfg, it).m.copy() for it in range(6)]
-    backward = [draw_indicators(cfg, it).m.copy() for it in reversed(range(6))]
-    for it in range(6):
-        assert np.array_equal(forward[it], backward[5 - it])
+def test_batches_are_keyed_by_iteration_not_run_length():
+    # Batch i comes from the stream keyed by (seed, i): a 6-iteration run
+    # draws the first 6 batches of a 40-iteration run, bit for bit.
+    short = list(batch_indices(cfg_of(20, 10, 4, BER, seed=9, n_iters=6)))
+    long = list(batch_indices(cfg_of(20, 10, 4, BER, seed=9, n_iters=40)))
+    assert len(short) == 6 and len(long) == 40
+    for got, want in zip(short, long):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("scheme", [WOR, BER])
@@ -112,10 +117,11 @@ def test_batch_generator_equals_the_indicator_draws(scheme, seed):
     # n_train 3 of 8 with B = 1: about a third of the batches are empty.
     for n, nt, b in [(30, 12, 5), (8, 3, 1), (5, 5, 5)]:
         cfg = cfg_of(n, nt, b, scheme, seed=seed, n_iters=40)
+        t = train_indicator(cfg)
         batches = list(batch_indices(cfg))
         assert len(batches) == cfg.n_iters
         for it, got in enumerate(batches):
-            want = draw_indicators(cfg, it).batch_indices
+            want = ref_batch(t, seed, it, nt, b)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
     empty = [got.size == 0 for got in batch_indices(cfg_of(8, 3, 1, scheme, seed=seed, n_iters=40))]
@@ -129,11 +135,10 @@ def test_monte_carlo_means_bernoulli():
     pops = np.empty(10_000)
     batches = np.empty(100_000)
     for s in range(10_000):
-        cfg = cfg_of(100, 50, 10, BER, seed=s)
-        for it in range(10):
-            draw = draw_indicators(cfg, it)
-            batches[s * 10 + it] = draw.batch_indices.size
-        pops[s] = draw.t.sum()
+        cfg = cfg_of(100, 50, 10, BER, seed=s, n_iters=10)
+        for it, batch in enumerate(batch_indices(cfg)):
+            batches[s * 10 + it] = batch.size
+        pops[s] = train_indicator(cfg).sum()
     assert abs(pops.mean() - 50.0) < 1.0
     assert abs(batches.mean() - 10.0) < 0.3
 

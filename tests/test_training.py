@@ -28,7 +28,8 @@ from gnqaudit import (
     save_trajectory,
     train,
 )
-from gnqaudit.sampling import draw_indicators, train_indicator
+from gnqaudit.reports import audit_report
+from gnqaudit.sampling import batch_indices, train_indicator
 from gnqaudit.training import AuditCadence, TrainingTrajectory, audit, audited_iterations
 
 LIN = ModelSpec(kind=ModelKind.LINEAR2D, input_dim=1)
@@ -70,8 +71,7 @@ def test_replay_from_batch_log_reproduces_every_step():
     ds = lin_data(6)
     cfg = cfg_of(6, 3, 2, 5, seed=9)
     traj = train(cfg, LIN, ds)
-    for i in range(cfg.n_iters):
-        idx = np.flatnonzero(draw_indicators(cfg, i).m)
+    for i, idx in enumerate(batch_indices(cfg)):
         g = gradient_all(LIN, traj.params_per_iter[i], ds.features[idx], ds.targets[idx])
         step = traj.params_per_iter[i] - (cfg.learning_rate / cfg.batch_size) * g.sum(axis=0)
         assert np.allclose(step, traj.params_per_iter[i + 1], rtol=1e-12, atol=1e-15)
@@ -80,7 +80,7 @@ def test_replay_from_batch_log_reproduces_every_step():
 def test_empty_bernoulli_batch_leaves_params_unchanged():
     ds = lin_data(6)
     traj = train(cfg_of(6, 3, 2, 40, seed=5, scheme=SamplingScheme.INDEPENDENT_BERNOULLI), LIN, ds)
-    empties = [i for i in range(traj.cfg.n_iters) if draw_indicators(traj.cfg, i).m.sum() == 0]
+    empties = [i for i, batch in enumerate(batch_indices(traj.cfg)) if batch.size == 0]
     assert empties, "seed chosen to include an empty draw"
     for i in empties:
         assert np.array_equal(traj.params_per_iter[i], traj.params_per_iter[i + 1])
@@ -100,10 +100,9 @@ def test_membership_only_training_rows_enter_batches():
     ds = lin_data(10)
     traj = train(cfg_of(10, 4, 2, 30, seed=7), LIN, ds)
     t = traj.train_indicator
-    for i in range(traj.cfg.n_iters):
-        draw = draw_indicators(traj.cfg, i)
-        assert np.all(draw.m <= draw.t)
-        assert np.array_equal(draw.t, t)
+    assert int(t.sum()) == 4
+    for batch in batch_indices(traj.cfg):
+        assert np.all(t[batch] == 1)
 
 
 def test_divergence_error_names_the_iteration():
@@ -143,8 +142,7 @@ def test_every_step_is_bitwise_the_row_by_row_batch_sum(run):
     spec, ds, cfg = run
     traj = train(cfg, spec, ds)
     sizes = []
-    for i in range(cfg.n_iters):
-        rows = np.flatnonzero(draw_indicators(cfg, i).m)
+    for i, rows in enumerate(batch_indices(cfg)):
         sizes.append(rows.size)
         g = gradient_all(spec, traj.params_per_iter[i], ds.features[rows], ds.targets[rows])
         step = traj.params_per_iter[i] - cfg.learning_rate * (g.sum(axis=0) / cfg.batch_size)
@@ -225,11 +223,13 @@ def test_cumulative_gnq_is_the_sum_over_audited_iterations():
 def test_leakage_bound_totals_grow_with_audited_prefix():
     ds = lin_data(6)
     traj = train(cfg_of(6, 3, 2, 9, seed=4), LIN, ds)
-    final = audit(traj, ds, cadence=AuditCadence.FINAL_ONLY)
-    every = audit(traj, ds, cadence=AuditCadence.EVERY_EPOCH)
+    final, every = (
+        audit_report(audit(traj, ds, cadence=cadence), traj.cfg, {})["per_example"]
+        for cadence in (AuditCadence.FINAL_ONLY, AuditCadence.EVERY_EPOCH)
+    )
     for j in range(6):
-        assert every.total_bits[j] >= final.total_bits[j] - 1e-12
-        assert every.total_bits[j] >= 0.0
+        assert every[j]["total_bits"] >= final[j]["total_bits"] - 1e-12
+        assert every[j]["total_bits"] >= 0.0
 
 
 def test_duplicated_examples_get_equal_scores():
@@ -270,9 +270,10 @@ def test_audit_record_tallies_fallbacks_per_iteration():
         for reason in reasons[reasons != ""].tolist():
             counts = tally.setdefault(it, {})
             counts[reason] = counts.get(reason, 0) + 1
-    assert rec.fallbacks == tally
+        assert rec.spectra[it].fallbacks == tally.get(it, {})
     # 30 rows against 58 parameters: each row leaves the others' span.
-    assert rec.fallbacks == {4: {"crossing": 30}, 8: {"crossing": 30}}
+    tallied = {it: h.fallbacks for it, h in rec.spectra.items() if h.fallbacks}
+    assert tallied == {4: {"crossing": 30}, 8: {"crossing": 30}}
 
 
 def _reference_scores(grads, mode, j):
@@ -313,22 +314,20 @@ def test_audit_reusing_its_buffers_equals_fresh_gradients(mode, hidden_dim):
     traj = train(cfg_of(30, 20, 5, 12, lr=0.5, seed=1), spec, ds)
     rec = audit(traj, ds, mode=mode, cadence=AuditCadence.EVERY_ITERATION)
     assert len(rec.audited_iterations) == 12
-    fallbacks, spectra = {}, {}
+    spectra = {}
     for row, it in enumerate(rec.audited_iterations):
         grads = gradient_all(spec, traj.params_per_iter[it], ds.features, ds.targets)
         if mode is GramMode.FULL_EXACT:
             values, range_ok, reasons, spectra[it] = loo_scores(grads, rec.tol)
             names, counts = np.unique(reasons[reasons != ""], return_counts=True)
-            if names.size:
-                fallbacks[it] = dict(zip(names.tolist(), counts.tolist()))
+            assert spectra[it].fallbacks == dict(zip(names.tolist(), counts.tolist()))
         else:
             values, range_ok = diagonal_scores(grads)
         assert rec.values[row].tobytes() == values.tobytes()
         assert np.array_equal(rec.range_ok[row], range_ok)
-    assert rec.fallbacks == fallbacks
     assert rec.spectra == spectra
     if mode is GramMode.FULL_EXACT and hidden_dim == 8:
-        assert fallbacks
+        assert any(h.fallbacks for h in spectra.values())
 
 
 def test_capacity_error_in_exact_mode_suggests_diagonal():
@@ -352,9 +351,9 @@ def test_trajectory_round_trip(tmp_path):
     assert back.model == traj.model
     assert back.dataset_sha256 == traj.dataset_sha256 == ds.sha256
     assert all(np.array_equal(a, b) for a, b in zip(back.params_per_iter, traj.params_per_iter))
-    for i in range(traj.cfg.n_iters):
-        a, b = draw_indicators(back.cfg, i), draw_indicators(traj.cfg, i)
-        assert np.array_equal(a.t, b.t) and np.array_equal(a.m, b.m)
+    assert np.array_equal(train_indicator(back.cfg), train_indicator(traj.cfg))
+    for a, b in zip(batch_indices(back.cfg), batch_indices(traj.cfg), strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_checkpoint_stores_no_indicators(tmp_path):
