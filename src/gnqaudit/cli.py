@@ -4,12 +4,13 @@ Subcommands: gen-data, train, audit, bound, attack, defend, oracle. Anything
 structural lives in the JSON config; flags cover only paths, seed override,
 and the gradient dump toggle, so one config file is the full provenance of a
 run; BLAS thread pools follow OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS. Every config value must have the JSON type the shipped
-config.schema.json gives it; an integer never accepts a float or a quoted
-number, and no value is coerced: anything else exits 2. Every command writes
-its effective config back to the output directory and exits 0 on success, 2
-on config errors, 3 on capacity errors, 4 on divergence, 5 on verification
-failure.
+MKL_NUM_THREADS. The config, after --seed, is read through the shipped
+config.schema.json (sampling.check_config), stricter than JSON Schema in two
+rules: an integer is never a float, 12.0 included, and a number is never NaN
+or +-Infinity. No value is coerced; anything else exits 2, naming the key.
+Every command writes its effective config back to the output directory and
+exits 0 on success, 2 on config errors, 3 on capacity errors, 4 on
+divergence, 5 on verification failure.
 """
 
 from __future__ import annotations
@@ -61,53 +62,23 @@ from .reports import (
     write_scores_csv,
     write_sweep_csv,
 )
-from .sampling import (
-    ConfigSection,
-    SamplingConfig,
-    json_value,
-    read_json_section,
-)
+from .sampling import ConfigSection, SamplingConfig, check_config, config_schema
 from .training import AuditCadence, audit, load_trajectory, save_trajectory, train
 
-_TOP_KEYS = {
-    "sampling",
-    "model",
-    "dataset",
-    "audit",
-    "bound",
-    "attack",
-    "defense",
-    "oracle",
-    "output_dir",
-}
-# Each dataset kind's builder and its keys' types, defaults (MISSING when
-# required) and config.schema.json's limits, in the order of the builder's
-# arguments.
+# Each dataset kind's builder and its keys' defaults (MISSING where
+# config.schema.json requires the key), in the order of the builder's arguments.
 _DATASETS = {
     "outlier_regression": (make_outlier_regression_dataset, {}),
     "blobs": (
         make_blobs,
-        {
-            "class_sizes": (list[int], MISSING, {"minimum": 1, "minItems": 2}),
-            "input_dim": (int, 2, {"minimum": 1}),
-            "center_distance": (float, 2.0, {"exclusiveMinimum": 0}),
-            "spread": (float, 1.0, {"exclusiveMinimum": 0}),
-            "seed": (int, 0, {"minimum": 0}),
-        },
+        {"class_sizes": MISSING, "input_dim": 2, "center_distance": 2.0, "spread": 1.0, "seed": 0},
     ),
     "linear": (
         make_linear_dataset,
-        {
-            "n": (int, MISSING, {"minimum": 2}),
-            "slope": (float, 1.0),
-            "intercept": (float, 0.0),
-            "noise_scale": (float, 0.1, {"minimum": 0}),
-            "x_low": (float, 0.0),
-            "x_high": (float, 1.0),
-            "seed": (int, 0, {"minimum": 0}),
-        },
+        {"n": MISSING, "slope": 1.0, "intercept": 0.0, "noise_scale": 0.1,
+         "x_low": 0.0, "x_high": 1.0, "seed": 0},
     ),
-    "csv": (load_csv_dataset, {"path": (str, MISSING), "target": (str, "target")}),
+    "csv": (load_csv_dataset, {"path": MISSING, "target": "target"}),
 }
 
 
@@ -125,10 +96,6 @@ class AuditSettings(ConfigSection):
     mode: GramMode = GramMode.FULL_EXACT
     cadence: AuditCadence = AuditCadence.EVERY_EPOCH
     tol: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tol < 1.0:
-            raise ConfigurationError(f"audit tol must be in (0, 1), got {self.tol}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,73 +120,43 @@ class RunConfig:
     def from_json_dict(cls, raw: dict, out_override: str | None, seed_override: int | None) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigurationError("config root must be a JSON object")
-        unknown = set(raw) - _TOP_KEYS
-        if unknown:
-            raise ConfigurationError(f"unknown key(s) in config: {', '.join(sorted(unknown))}")
+        # --seed stands in for every seed before the whole config is checked.
+        seeded = dict(raw, oracle=_seeded(raw.get("oracle", {}), seed_override))
+        if "sampling" in raw:
+            seeded["sampling"] = _seeded(raw["sampling"], seed_override)
+        kind = raw["dataset"].get("kind") if isinstance(raw.get("dataset"), dict) else None
+        if any(kind == k and "seed" in defaults for k, (_, defaults) in _DATASETS.items()):
+            seeded["dataset"] = _seeded(raw["dataset"], seed_override)
+        checked = check_config("", seeded, config_schema())
 
         sampling = model = dataset = build_dataset = defense_fractions = None
         if "sampling" in raw:
-            sampling = SamplingConfig.from_json_dict(_seeded(raw["sampling"], seed_override))
+            sampling = SamplingConfig.from_json_dict(seeded["sampling"])
         if "model" in raw:
             model = ModelSpec.from_json_dict(raw["model"])
-
         if "dataset" in raw:
-            dataset = raw["dataset"]
-            kind = dataset.get("kind") if isinstance(dataset, dict) else None
-            if kind not in _DATASETS:
-                raise ConfigurationError(
-                    f"dataset kind must be one of {sorted(_DATASETS)}, got {kind!r}"
-                )
-            builder, fields = _DATASETS[kind]
-            if "seed" in fields:
-                dataset = _seeded(dataset, seed_override)
-            given = {k: v for k, v in dataset.items() if k != "kind"}
-            args = read_json_section("dataset", given, fields)
-            build_dataset = functools.partial(builder, *args.values())
-
-        audit_settings = AuditSettings.from_json_dict(raw.get("audit", {}))
-
-        bound_gnq = tuple(
-            read_json_section("bound", raw.get("bound", {}), {"gnq": (list[float], (0.1, 1.0, 10.0))})["gnq"]
-        )
-        if not bound_gnq or any(g < 0 or not np.isfinite(g) for g in bound_gnq):
-            raise ConfigurationError("bound.gnq needs one or more values, each finite and >= 0")
-
-        attack_bins = read_json_section(
-            "attack", raw.get("attack", {}), {"n_bins": (int, 8, {"minimum": 2})}
-        )["n_bins"]
-
+            dataset = seeded["dataset"]
+            builder, defaults = _DATASETS[kind]
+            given = checked["dataset"]
+            build_dataset = functools.partial(builder, *(given.get(k, v) for k, v in defaults.items()))
         if "defense" in raw:
-            d = read_json_section(
-                "defense", raw["defense"], {"p": (float, None), "sweep": (list[float], None)}
-            )
-            if (d["p"] is None) == (d["sweep"] is None):
-                raise ConfigurationError("defense section needs exactly one of p, sweep")
-            defense_fractions = (d["p"],) if d["sweep"] is None else tuple(d["sweep"])
-            if any(not 0.0 <= f < 1.0 for f in defense_fractions):
-                raise ConfigurationError("defense fractions must lie in [0, 1)")
-
-        oracle_section = _seeded(raw.get("oracle", {}), seed_override)
-        oracle = read_json_section(
-            "oracle",
-            oracle_section,
-            {"seed": (int, 0, {"minimum": 0}), "corrupt": (str | None, None)},
-        )
-        out = out_override if out_override is not None else raw.get("output_dir", "out")
+            fractions = checked["defense"]
+            defense_fractions = (fractions["p"],) if "p" in fractions else tuple(fractions["sweep"])
+        out = out_override if out_override is not None else checked.get("output_dir", "out")
         return cls(
             raw=raw,
             sampling=sampling,
             model=model,
             dataset=dataset,
             build_dataset=build_dataset,
-            audit=audit_settings,
-            bound_gnq=bound_gnq,
-            attack_bins=attack_bins,
+            audit=AuditSettings.from_json_dict(raw.get("audit", {})),
+            bound_gnq=tuple(checked.get("bound", {}).get("gnq", (0.1, 1.0, 10.0))),
+            attack_bins=checked.get("attack", {}).get("n_bins", 8),
             defense_fractions=defense_fractions,
-            oracle=oracle_section,
-            oracle_seed=oracle["seed"],
-            oracle_corrupt=oracle["corrupt"],
-            output_dir=Path(json_value("output_dir", out, str)),
+            oracle=seeded["oracle"],
+            oracle_seed=checked["oracle"].get("seed", 0),
+            oracle_corrupt=checked["oracle"].get("corrupt"),
+            output_dir=Path(out),
         )
 
     def effective(self) -> dict:

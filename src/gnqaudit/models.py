@@ -85,8 +85,11 @@ class ModelSpec(ConfigSection):
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     if spec.init is InitKind.ZEROS:
         return np.zeros(spec.n_params)
-    rng = stream(seed, _INIT_TAG)
-    return spec.init_scale * rng.standard_normal(spec.n_params)
+    with np.errstate(over="ignore"):
+        params = spec.init_scale * stream(seed, _INIT_TAG).standard_normal(spec.n_params)
+    if not np.all(np.isfinite(params)):
+        raise ConfigurationError(f"model.init_scale {spec.init_scale} overflows the initial parameters")
+    return params
 
 
 def _check_shapes(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> None:

@@ -40,12 +40,16 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 import math
+import operator
+import sys
 import typing
 from collections.abc import Iterator
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -78,86 +82,98 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
 
 
-def json_value(name: str, value, kind):
-    """value as a config field of type kind, with the JSON type config.schema.json gives it.
+# The four bounds: the comparison a value must pass and its sign in messages.
+_BOUNDS = {
+    "minimum": (operator.ge, ">="),
+    "exclusiveMinimum": (operator.gt, ">"),
+    "maximum": (operator.le, "<="),
+    "exclusiveMaximum": (operator.lt, "<"),
+}
+# JSON types by the program's rules, stricter than JSON Schema's: a bool is
+# not an integer, 12.0 is not an integer, and NaN and +-Infinity, which
+# Python's json reads though JSON has no such literals, are not numbers.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+}
+# Every keyword check_config reads; config.schema.json may use no other.
+_CONFIG_KEYWORDS = frozenset({
+    "$schema", "$id", "title", "type", "enum", "const", *_BOUNDS, "items", "minItems",
+    "properties", "required", "additionalProperties", "minProperties", "maxProperties", "oneOf",
+})
 
-    An int takes a JSON integer only, never a bool, a float or a quoted
-    number; a float takes any JSON number and stores it as a float; a str
-    takes a string; an Enum takes one of its value strings; list[kind] takes
-    an array of such values; str | None takes a string or null. Anything else
-    raises ConfigurationError naming the key.
+
+@lru_cache(maxsize=1)
+def config_schema() -> dict:
+    """The shipped config.schema.json: the one definition of what a config may hold."""
+    return json.loads((Path(__file__).parent / "schemas" / "config.schema.json").read_text(encoding="utf-8"))
+
+
+def check_config(name: str, value, schema: dict):
+    """value checked against schema, a part of config.schema.json, with numbers as floats.
+
+    Reads the keywords in _CONFIG_KEYWORDS, a "type" (one name) by the rules
+    of _TYPES, and a oneOf as a choice of branch by the branch's "kind" const.
+    A refusal raises ConfigurationError naming the key by its path from the
+    root (name is "" there): section.key, with list items as key[i].
     """
-    if getattr(kind, "__origin__", None) is list:
-        if isinstance(value, list):
-            return [json_value(f"{name}[{i}]", v, kind.__args__[0]) for i, v in enumerate(value)]
-    elif isinstance(kind, type) and issubclass(kind, enum.Enum):
-        try:
-            return kind(value)
-        except (ValueError, TypeError):
-            values = ", ".join(member.value for member in kind)
-            raise ConfigurationError(f"{name} must be one of {values}, got {value!r}") from None
-    elif isinstance(value, bool):
-        pass
-    elif kind is float and isinstance(value, (int, float)):
-        return float(value)
-    elif isinstance(value, kind):
-        return value
-    raise ConfigurationError(
-        f"{name} must be {kind.__name__ if isinstance(kind, type) else kind}, got {value!r}"
-    )
-
-
-def _check_limits(name: str, value, limits: dict) -> None:
-    items = value if isinstance(value, list) else [value]
-    if len(items) < limits.get("minItems", 0):
-        raise ConfigurationError(f"{name} needs at least {limits['minItems']} items, got {value!r}")
-    strict = "exclusiveMinimum" in limits
-    low = limits["exclusiveMinimum"] if strict else limits.get("minimum")
-    if low is not None and not all(v > low if strict else v >= low for v in items):
-        raise ConfigurationError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
-
-
-def read_json_section(section: str, obj, fields: dict) -> dict:
-    """One config section's values, checked against fields = {key: (type, default[, limits])}.
-
-    An absent key takes its default; one whose default is MISSING is required.
-    limits holds the bounds config.schema.json puts on a given value, in its
-    keywords: "minimum" or "exclusiveMinimum" (on each item of a list) and
-    "minItems".
-    """
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"{section} must be a JSON object, got {obj!r}")
-    unknown = set(obj) - set(fields)
-    if unknown:
-        raise ConfigurationError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
-    values = {}
-    for key, (kind, default, *limits) in fields.items():
-        if key in obj:
-            values[key] = json_value(f"{section}.{key}", obj[key], kind)
-            for bounds in limits:
-                _check_limits(f"{section}.{key}", values[key], bounds)
-        elif default is MISSING:
-            raise ConfigurationError(f"{section} config missing key: {key}")
-        else:
-            values[key] = default
-    return values
+    if "oneOf" in schema:
+        kind = value.get("kind") if isinstance(value, dict) else None
+        kinds = [branch["properties"]["kind"]["const"] for branch in schema["oneOf"]]
+        if kind not in kinds:
+            raise ConfigurationError(f"{name} kind must be one of {', '.join(kinds)}, got {kind!r}")
+        schema = schema["oneOf"][kinds.index(kind)]
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        raise ConfigurationError(f"{name} must be {schema['type']}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        values = ", ".join(map(json.dumps, schema["enum"]))
+        raise ConfigurationError(f"{name} must be one of {values}, got {value!r}")
+    if "const" in schema and value != schema["const"]:
+        raise ConfigurationError(f"{name} must be {json.dumps(schema['const'])}, got {value!r}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        unknown = sorted(set(value) - set(props)) if schema.get("additionalProperties") is False else []
+        if unknown:
+            raise ConfigurationError(f"unknown key(s) in {name or 'config'}: {', '.join(unknown)}")
+        for key in schema.get("required", []):
+            if key not in value:
+                raise ConfigurationError(f"{name} config missing key: {key}")
+        low, high = schema.get("minProperties", 0), schema.get("maxProperties", math.inf)
+        if not low <= len(value) <= high:
+            count = "exactly one" if low == high == 1 else f"{low} to {high}"
+            raise ConfigurationError(f"{name} section needs {count} of {', '.join(props)}")
+        prefix = f"{name}." if name else ""
+        return {k: check_config(prefix + k, v, props.get(k, {})) for k, v in value.items()}
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigurationError(f"{name} needs at least {schema['minItems']} items, got {value!r}")
+        return [check_config(f"{name}[{i}]", v, schema.get("items", {})) for i, v in enumerate(value)]
+    for keyword, (holds, sign) in _BOUNDS.items():
+        if keyword in schema and not holds(value, schema[keyword]):
+            raise ConfigurationError(f"{name} must be {sign} {schema[keyword]}, got {value!r}")
+    return float(value) if schema.get("type") == "number" else value
 
 
 class ConfigSection:
     """Reads and writes a frozen config dataclass as one section of the JSON config.
 
-    The dataclass is the section's only definition: its field names are the
-    keys, its field defaults the defaults and its field types the value types
-    (see json_value). A subclass names its section in `section`.
+    The section's keys, types and limits are config.schema.json's (see
+    check_config); the dataclass gives the defaults of absent keys and turns
+    enum strings into its Enum fields. A subclass names its section in
+    `section`.
     """
 
     section = ""
 
     @classmethod
     def from_json_dict(cls, obj: dict):
-        hints = typing.get_type_hints(cls)
-        fields = {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
-        return cls(**read_json_section(cls.section, obj, fields))
+        values = check_config(cls.section, obj, config_schema()["properties"][cls.section])
+        kinds = typing.get_type_hints(cls)
+        return cls(**{k: kinds[k](v) if isinstance(kinds[k], enum.EnumMeta) else v for k, v in values.items()})
 
     def to_json_dict(self) -> dict:
         values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}

@@ -440,6 +440,35 @@ def test_non_finite_data_is_refused_at_load(tmp_path, capsys, kind, cell, column
     assert "line 7: non-finite value" in err and f"in column {column!r}" in err
 
 
+def _number_keys(schema, path=(), kind=None):
+    """(path, list-valued, dataset kind) of every number leaf and number-array item of schema."""
+    if schema.get("type") == "number" or schema.get("items", {}).get("type") == "number":
+        yield path, "items" in schema, kind
+    for key, sub in schema.get("properties", {}).items():
+        yield from _number_keys(sub, path + (key,), kind)
+    for branch in schema.get("oneOf", []):
+        yield from _number_keys(branch, path, branch["properties"]["kind"]["const"])
+
+
+_DATASET_OF_KIND = {"blobs": {"kind": "blobs", "class_sizes": [4, 3]}, "linear": {"kind": "linear", "n": 7}}
+
+
+@pytest.mark.parametrize("literal", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize(
+    "path, listed, kind", [pytest.param(*key, id=".".join(key[0])) for key in _number_keys(CONFIG_SCHEMA)]
+)
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, path, listed, kind, literal):
+    # Python's json reads NaN and Infinity, which JSON has no literals for;
+    # bound builds no dataset, so only the config reader can refuse them.
+    payload = json.loads(Path(outlier_audit_config(tmp_path)).read_text())
+    if kind is not None:
+        payload["dataset"] = dict(_DATASET_OF_KIND[kind])
+    section, key = path
+    payload.setdefault(section, {})[key] = [literal] if listed else literal
+    assert main(["bound", "--config", write_config(tmp_path, payload)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
 def test_divergent_run_exits_4(tmp_path):
     cfgp = write_config(
         tmp_path,
@@ -451,6 +480,20 @@ def test_divergent_run_exits_4(tmp_path):
         },
     )
     assert main(["train", "--config", cfgp]) == 4
+
+
+def test_overflowing_init_scale_exits_2_not_4(tmp_path, capsys):
+    # A finite init_scale whose Gaussian draw overflows is bad input, not a
+    # divergence at iteration 0.
+    cfgp = blob_config(
+        tmp_path,
+        class_sizes=(30, 30),
+        extra={"model": {"kind": "logistic", "input_dim": 4, "n_classes": 2,
+                         "init": "seeded_gaussian", "init_scale": 1e308}},
+    )
+    assert main(["train", "--config", cfgp]) == 2
+    assert "model.init_scale" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "trajectory.json").exists()
 
 
 def test_audit_capacity_exits_3(tmp_path):
@@ -554,8 +597,9 @@ def _param(value):
         pytest.param(_set("bound", "gnq", ["1"]), None, "bound.gnq", id="quoted-gnq"),
         pytest.param(_set("bound", "gnq", []), None, "bound.gnq", id="empty-gnq"),
         pytest.param(_set("oracle", "seed", -1), None, "oracle.seed", id="negative-oracle-seed"),
-        pytest.param(_set("audit", "tol", 1.0), None, "audit tol", id="tol-one"),
-        pytest.param(_set("sampling", "seed", 2**64), None, "seed must fit in u64", id="seed-past-u64"),
+        pytest.param(_set("audit", "tol", 1.0), None, "audit.tol", id="tol-one"),
+        pytest.param(_set("sampling", "seed", 2**64), None, "sampling.seed", id="seed-past-u64"),
+        pytest.param(_set("oracle", "corrupt", "foo"), None, "oracle.corrupt", id="unknown-corrupt-target"),
         pytest.param(lambda c: {**c, "defense": {}}, None, "exactly one of p, sweep", id="defense-neither"),
         pytest.param(
             lambda c: {**c, "defense": {"p": 0.1, "sweep": [0.1]}},

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import enum
 import json
+import math
+import sys
 import typing
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from gnqaudit import (
     AttackResult,
+    ConfigurationError,
     GramMode,
     ModelKind,
     ModelSpec,
@@ -27,7 +30,7 @@ from gnqaudit import (
     train,
 )
 from gnqaudit.canonical import canonical_json, json_default, write_json
-from gnqaudit.cli import _DATASETS, AuditSettings
+from gnqaudit.cli import _DATASETS, AuditSettings, RunConfig
 from gnqaudit.defense import (
     DefenseReport,
     rank_examples,
@@ -50,6 +53,7 @@ from gnqaudit.reports import (
     write_scores_csv,
     write_sweep_csv,
 )
+from gnqaudit.sampling import _CONFIG_KEYWORDS
 from gnqaudit.training import audit, save_trajectory
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "gnqaudit" / "schemas" / "report.schema.json"
@@ -319,16 +323,100 @@ def test_config_schema_dataset_kinds_are_the_builder_table():
     assert kinds == {kind: set(fields) for kind, (_, fields) in _DATASETS.items()}
 
 
-def test_config_schema_dataset_limits_are_the_builder_table():
-    # The reader refuses at load what the schema refuses: the same bounds, by key.
-    for variant in CONFIG_SCHEMA["properties"]["dataset"]["oneOf"]:
-        _, fields = _DATASETS[variant["properties"]["kind"]["const"]]
-        for key, prop in variant["properties"].items():
-            if key == "kind":
-                continue
-            limits = {**prop, **prop.get("items", {})}
-            want = {k: v for k, v in limits.items() if k in ("minimum", "exclusiveMinimum", "minItems")}
-            assert (fields[key][2:] or ({},))[0] == want, key
+def _schema_nodes(schema):
+    """schema and every sub-schema in it, through properties, items and oneOf."""
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]:
+        yield from _schema_nodes(sub)
+    if "items" in schema:
+        yield from _schema_nodes(schema["items"])
+
+
+def test_config_schema_is_valid_and_uses_only_the_keywords_the_reader_reads():
+    # A keyword check_config does not read (a "pattern", say) would be
+    # silently ignored when a config is read.
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    nodes = list(_schema_nodes(CONFIG_SCHEMA))
+    assert set().union(*nodes) <= _CONFIG_KEYWORDS
+    assert all(isinstance(node.get("type", ""), str) for node in nodes)  # one type name each
+    for node in nodes:
+        if "oneOf" in node:
+            kinds = [branch["properties"]["kind"]["const"] for branch in node["oneOf"]]
+            assert len(set(kinds)) == len(kinds)
+
+
+VALID_CONFIG = {
+    "sampling": {
+        "n_total": 60, "n_train": 30, "batch_size": 10, "n_iters": 12, "learning_rate": 0.5,
+        "scheme": "without_replacement", "seed": 3,
+    },
+    "model": {"kind": "logistic", "input_dim": 4, "hidden_dim": 0, "n_classes": 2, "init": "zeros", "init_scale": 0.1},
+    "dataset": {
+        "kind": "blobs", "class_sizes": [30, 30], "input_dim": 4, "center_distance": 2.0, "spread": 2.0, "seed": 7,
+    },
+    "audit": {"mode": "full_exact", "cadence": "every_epoch", "tol": 1e-10},
+    "defense": {"p": 0.1},
+    "bound": {"gnq": [0.1, 1.0]},
+    "attack": {"n_bins": 8},
+    "oracle": {"seed": 0, "corrupt": None},
+    "output_dir": "out",
+}
+_SECTION_KEYS = {
+    section: sorted({key for node in _schema_nodes(prop) for key in node.get("properties", {})} | {"extra"})
+    for section, prop in CONFIG_SCHEMA["properties"].items()
+    if section != "output_dir"
+}
+_ENUM_STRINGS = sorted({v for node in _schema_nodes(CONFIG_SCHEMA) for v in node.get("enum", []) if v is not None})
+_SCALARS = (
+    st.integers() | st.integers(-3, 70) | st.just(12.0) | st.floats() | st.just(0) | st.text(max_size=4)
+    | st.sampled_from(_ENUM_STRINGS) | st.booleans() | st.none()
+)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3) | st.dictionaries(st.sampled_from(["p", "x"]), _SCALARS, max_size=2)
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+# SamplingConfig's and ModelSpec's own checks, which compare several keys.
+_CROSS_FIELD = ("need 1 <= batch_size <= n_train <= n_total", "linear2d is scalar", "logistic needs", "mlp needs")
+
+
+def _stricter_than_schema(leaf: dict, value) -> bool:
+    """value breaks a rule of the program's that JSON Schema lacks: 12.0 for an integer, or a non-finite number."""
+    kind = leaf.get("items", leaf).get("type")
+    return any(
+        type(v) is float and ((kind == "integer" and v.is_integer()) or not math.isfinite(v))
+        or (kind == "number" and type(v) is int and abs(v) > sys.float_info.max)
+        for v in (value if isinstance(value, list) else [value])
+    )
+
+
+def _leaf_schema(section: str | None, key: str) -> dict:
+    """The schema of VALID_CONFIG's section.key (of its dataset kind's branch), {} for an unknown key."""
+    parent = CONFIG_SCHEMA if section is None else CONFIG_SCHEMA["properties"][section]
+    for branch in parent.get("oneOf", []):
+        if branch["properties"]["kind"]["const"] == VALID_CONFIG[section]["kind"]:
+            parent = branch
+    return parent["properties"].get(key, {})
+
+
+@settings(max_examples=400, deadline=None)
+@given(section=st.sampled_from([None, *_SECTION_KEYS]), data=st.data(), value=_VALUES)
+def test_config_reader_refuses_what_the_schema_refuses(section, data, value):
+    # One key of a valid config set to a drawn value (section None sets a
+    # top-level key). The program refuses every edit the shipped schema
+    # refuses, and refuses a schema-valid one only by its documented stricter
+    # rules or a cross-field check.
+    keys = [*CONFIG_SCHEMA["properties"], "extra"] if section is None else _SECTION_KEYS[section]
+    key = data.draw(st.sampled_from(keys))
+    edited = json.loads(json.dumps(VALID_CONFIG))
+    (edited if section is None else edited[section])[key] = value
+    schema_refuses = not _CONFIG_VALIDATOR.is_valid(edited)
+    try:
+        RunConfig.from_json_dict(edited, None, None)
+    except ConfigurationError as exc:
+        if not schema_refuses:
+            assert _stricter_than_schema(_leaf_schema(section, key), value) or (
+                section in ("sampling", "model") and str(exc).startswith(_CROSS_FIELD)
+            ), str(exc)
+    else:
+        assert not schema_refuses
 
 
 # determinism of written artifacts -----------------------------------------------------
