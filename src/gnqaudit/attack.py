@@ -4,7 +4,7 @@ score = -loss at the final parameters and predict "member" above a threshold.
 
 The threshold is the oracle choice maximizing balanced accuracy on the
 labeled evaluation set, which overstates a realistic attacker and is
-therefore conservative for validating the bound. AUC is the Mann-Whitney
+therefore conservative for checking the floor. AUC is the Mann-Whitney
 statistic computed from tie-averaged ranks, so identical scores contribute
 half credit and a constant scorer sits at exactly 0.5. Ranks and Spearman's
 rho are computed in numpy alone, since every CLI command is a fresh process

@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("gen-data", "write a synthetic dataset CSV"),
         ("train", "run SGD and checkpoint the trajectory"),
         ("audit", "score per-example gradient uniqueness along a trajectory"),
-        ("bound", "evaluate leakage and error bounds for a sampling config"),
+        ("bound", "evaluate per-step leakage bits and Fano floors for a sampling config"),
         ("attack", "run the loss-threshold membership attack"),
         ("defend", "rank, remove, retrain, and compare attack metrics"),
         ("oracle", "verify the closed forms against brute-force enumeration"),

@@ -138,48 +138,29 @@ def write_sweep_csv(path: str | Path, reports: list[DefenseReport]) -> Path:
 def audit_report(record: AuditRecord, sampling: SamplingConfig, config: dict) -> dict:
     """Per-example audit summary: cumulative scores, leakage chain, ranking, flags.
 
-    The chain is derived only here: bits, prior, totals and Fano floors from
-    the scores and the sampling config. Totals sum over the audited
-    iterations only, so the floors are bounds only for a full_exact
-    every-iteration audit. The ranking is `rank_examples(record)`.
+    The chain is derived only here, from the scores and the sampling config,
+    and each fact is written once: the prior at the top level, and per
+    example its total, Fano entropy, floor, vacuous flag and cumulative
+    score. The per-step bits are `per_iteration_leakage` of `scores.csv`'s
+    values. The totals are the paper's per-step Gaussian model summed over
+    `audited_iterations`, and `bound` is false: a partial sum bounds
+    nothing, and the full sum omits what earlier steps revealed (see
+    `bounds`). The ranking is `rank_examples(record)`.
     """
     prior = prior_entropy(sampling.n_train, sampling.n_total)
-    bits = per_iteration_leakage(record.values, sampling)
-    totals, fano = fano_chain(prior, bits)
-    per_example = [
-        {
-            "example": j,
-            "prior_entropy_bits": prior,
-            "per_iteration_bits": column,
-            "total_bits": total,
-            "fano_entropy_bits": remaining,
-            "pe_lower": pe,
-            "vacuous": vacuous,
-            "cumulative_gnq": cum,
-        }
-        for j, (column, total, remaining, pe, vacuous, cum) in enumerate(
-            zip(
-                bits.T.tolist(),
-                totals.tolist(),
-                fano.fano_entropy_bits.tolist(),
-                fano.pe_lower.tolist(),
-                fano.vacuous.tolist(),
-                record.cumulative_gnq.tolist(),
-            )
-        )
-    ]
-    range_violations = np.flatnonzero(~record.range_ok.all(axis=0))
+    totals, fano = fano_chain(prior, per_iteration_leakage(record.values, sampling))
+    keys = ("example", "total_bits", "fano_entropy_bits", "pe_lower", "vacuous", "cumulative_gnq")
+    columns = (totals, fano.fano_entropy_bits, fano.pe_lower, fano.vacuous, record.cumulative_gnq)
     payload = {
         "mode": record.mode.value,
         "cadence": record.cadence.value,
         "tol": record.tol,
         "audited_iterations": list(record.audited_iterations),
-        "per_example": per_example,
+        "prior_entropy_bits": prior,
+        "bound": False,
+        "per_example": [dict(zip(keys, row)) for row in zip(itertools.count(), *(c.tolist() for c in columns))],
         "ranking": rank_examples(record).tolist(),
-        "flags": {
-            "range_violations": [int(i) for i in range_violations],
-            "vacuous_bounds": np.flatnonzero(fano.vacuous).tolist(),
-        },
+        "flags": {"range_violations": np.flatnonzero(~record.range_ok.all(axis=0)).tolist()},
     }
     return finalize_report("audit", payload, config)
 

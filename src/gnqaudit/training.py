@@ -88,9 +88,9 @@ class AuditRecord:
     """Per-iteration uniqueness scores and the health of each factorization.
 
     values[r, j] and range_ok[r, j] are example j's score and range flag at
-    audited_iterations[r]; cumulative_gnq[j] is the sum of column j of
-    values. spectra maps each iteration an exact mode audited to the health
-    of the Gram matrix it factored, its fallback counts included.
+    audited_iterations[r]. spectra maps each iteration an exact mode audited
+    to the health of the Gram matrix it factored, its fallback counts
+    included.
     """
 
     mode: GramMode
@@ -98,13 +98,17 @@ class AuditRecord:
     audited_iterations: tuple[int, ...]
     values: np.ndarray
     range_ok: np.ndarray
-    cumulative_gnq: np.ndarray
     tol: float
     spectra: dict[int, SpectrumHealth] = field(default_factory=dict)
 
     @property
+    def cumulative_gnq(self) -> np.ndarray:
+        """Each example's score summed over the audited iterations (column sums of values)."""
+        return self.values.sum(axis=0)
+
+    @property
     def n_examples(self) -> int:
-        return self.cumulative_gnq.shape[0]
+        return self.values.shape[1]
 
     @property
     def range_violations(self) -> tuple[tuple[int, int], ...]:
@@ -229,7 +233,6 @@ def audit(
         audited_iterations=iters,
         values=values,
         range_ok=range_ok,
-        cumulative_gnq=values.sum(axis=0),
         tol=tol,
         spectra=spectra,
     )

@@ -33,7 +33,6 @@ def fake_record(gnq):
         audited_iterations=(1,),
         values=gnq[None, :],
         range_ok=np.ones((1, gnq.size), dtype=bool),
-        cumulative_gnq=gnq,
         tol=1e-10,
     )
 

@@ -82,6 +82,27 @@ def test_leakage_strictly_increasing_on_grid():
     assert all(v >= 0 for v in vals)
 
 
+@pytest.mark.parametrize("scheme", list(SamplingScheme))
+@pytest.mark.parametrize("n, nt, b", [(400, 200, 25), (100, 50, 10), (400, 100, 25), (60, 59, 1), (7, 3, 2)])
+def test_leakage_is_never_negative(n, nt, b, scheme):
+    # At gnq near 1e-16, log2(1 + gnq) rounds to 0 before log2(1 + kappa gnq) does.
+    bits = per_iteration_leakage(np.logspace(-20, 8, 4001), cfg_of(n, nt, b, scheme))
+    assert np.all(bits >= 0.0)
+    assert per_iteration_leakage(1e-16, cfg_of(n, nt, b, scheme)) >= 0.0
+
+
+@pytest.mark.parametrize("scheme", list(SamplingScheme))
+@pytest.mark.parametrize(
+    "n, nt, b",
+    # kappa 1.78, 1.87, 3.2, 7.7, 90, 3.3 and 0 (B = n_train); then n_train = N.
+    [(100, 50, 10), (400, 200, 25), (400, 100, 25), (40, 4, 1), (1000, 10, 1), (50, 12, 3), (20, 5, 5), (30, 30, 3)],
+)
+def test_growth_condition_is_strict_monotonicity(n, nt, b, scheme):
+    cfg = cfg_of(n, nt, b, scheme)
+    bits = per_iteration_leakage(np.logspace(-6, 8, 20000), cfg)
+    assert growth_condition_holds(cfg) == bool(np.all(np.diff(bits) > 0.0))
+
+
 def test_leakage_negative_gnq_rejected():
     with pytest.raises(ConfigurationError):
         per_iteration_leakage(-0.1, cfg_of(100, 50, 10))
@@ -251,23 +272,25 @@ def test_leakage_chain_vacuous_flag():
 
 
 def test_array_chain_equals_scalar_calls():
-    # h = 0 and h = 1 endpoints, interior values, totals past the prior (the
-    # clamp and the vacuous flag), and a total rounded a hair below zero.
+    # h = 0 and h = 1 endpoints, interior values, and totals past the prior
+    # (the clamp and the vacuous flag). Per-step bits are never negative, so
+    # a total below zero is refused, not read as 0.
     h = np.array([0.0, 1.0, 0.5, 1e-9, 0.25, 0.999, 0.8112781244591328])
     got = inverse_binary_entropy(h)
     assert isinstance(got, np.ndarray)
     assert all(got[i] == inverse_binary_entropy(float(x)) for i, x in enumerate(h))
     prior = 0.8112781244591328
-    bits = np.array([[0.0, 0.3, 0.5, 0.7, 1e-17], [0.0, 0.2, 0.4, 0.3, -2e-17]])
+    bits = np.array([[0.0, 0.3, 0.5, 0.7], [0.0, 0.2, 0.4, 0.3]])
     total, fano = fano_chain(prior, bits)
-    assert total[4] < 0.0
     for j in range(bits.shape[1]):
-        want = fano_error_bound(prior, max(float(total[j]), 0.0))
+        want = fano_error_bound(prior, float(total[j]))
         assert type(want.pe_lower) is float and type(want.vacuous) is bool
         assert fano.fano_entropy_bits[j] == want.fano_entropy_bits
         assert fano.pe_lower[j] == want.pe_lower
         assert fano.vacuous[j] == want.vacuous
-    assert fano.vacuous.tolist() == [False, False, True, True, False]
+    assert fano.vacuous.tolist() == [False, False, True, True]
+    with pytest.raises(ConfigurationError):
+        fano_chain(prior, np.array([[1e-17], [-2e-17]]))
     assert fano.pe_lower[0] == inverse_binary_entropy(prior)
     arr = fano_error_bound(1.0, np.array([0.0, 1.0, 0.4]))
     assert arr.pe_lower.tolist() == [inverse_binary_entropy(h) for h in (1.0, 0.0, 0.6)]

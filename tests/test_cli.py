@@ -1,5 +1,6 @@
 """Command-line pipeline: every subcommand in-process, exit codes, artifacts."""
 
+import csv
 import json
 import os
 import subprocess
@@ -7,11 +8,14 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from gnqaudit.bounds import fano_chain, per_iteration_leakage, prior_entropy
 from gnqaudit.cli import RunConfig, main
 from gnqaudit.models import gradient_all
 from gnqaudit.reports import write_gradients_csv
+from gnqaudit.sampling import SamplingConfig
 from gnqaudit.training import AuditCadence, audited_iterations, load_trajectory
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "gnqaudit" / "schemas"
@@ -177,6 +181,30 @@ def test_audit_reruns_byte_identical_with_timestamps_in_sidecar(tmp_path):
     assert "written_at" in meta or any("time" in k or "at" in k for k in meta)
 
 
+@pytest.mark.parametrize("cadence", ["every_epoch", "every_iteration"])
+def test_audit_report_floors_follow_from_scores_csv(tmp_path, cadence):
+    # The report carries no per-step bits: per_iteration_leakage of the
+    # scores.csv values gives them, and fano_chain every total and floor.
+    cfgp = blob_config(tmp_path, class_sizes=(30, 30), extra={"audit": {"cadence": cadence}})
+    assert main(["audit", "--config", cfgp]) == 0
+    report = json.loads((tmp_path / "run" / "audit_report.json").read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert report["bound"] is False
+    with open(tmp_path / "run" / "scores.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    n = len(report["per_example"])
+    assert [int(r["example_id"]) for r in rows] == list(range(n)) * len(report["audited_iterations"])
+    assert [int(r["iteration"]) for r in rows[::n]] == report["audited_iterations"]
+    values = np.array([float(r["gnq"]) for r in rows]).reshape(-1, n)
+    cfg = SamplingConfig.from_json_dict(report["config"]["sampling"])
+    prior = prior_entropy(cfg.n_train, cfg.n_total)
+    assert report["prior_entropy_bits"] == prior
+    totals, fano = fano_chain(prior, per_iteration_leakage(values, cfg))
+    assert [e["total_bits"] for e in report["per_example"]] == totals.tolist()
+    assert [e["pe_lower"] for e in report["per_example"]] == fano.pe_lower.tolist()
+    assert [e["vacuous"] for e in report["per_example"]] == fano.vacuous.tolist()
+
+
 def test_audit_sidecar_counts_fallbacks_by_reason(tmp_path):
     # 60 examples against 72 parameters: no gradient lies in the others'
     # span, so no exact score can come from the shared factorization.
@@ -232,6 +260,24 @@ def test_bound_report_contents(tmp_path):
     assert rows[1]["per_iteration_bits"] == pytest.approx(0.13152, abs=1e-5)
     bits = [r["per_iteration_bits"] for r in rows]
     assert bits == sorted(bits)
+
+
+def test_bound_accepts_scores_at_rounding_level(tmp_path):
+    # At gnq = 1e-16, log2(1 + gnq) rounds to 0 and log2(1 + kappa gnq) does
+    # not; the step's bits are 0, not -8e-17 and an exit 2.
+    cfgp = write_config(
+        tmp_path,
+        {
+            "sampling": {"n_total": 400, "n_train": 200, "batch_size": 25, "n_iters": 1, "learning_rate": 1.0},
+            "bound": {"gnq": [0.0, 1e-16, 1e-15]},
+            "output_dir": str(tmp_path / "bd"),
+        },
+    )
+    assert main(["bound", "--config", cfgp]) == 0
+    report = json.loads((tmp_path / "bd" / "bound_report.json").read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert [r["per_iteration_bits"] for r in report["per_gnq"]][:2] == [0.0, 0.0]
+    assert [r["pe_lower_single_iteration"] for r in report["per_gnq"]][:2] == [0.5, 0.5]
 
 
 # attack / defend --------------------------------------------------------------------

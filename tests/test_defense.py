@@ -34,7 +34,6 @@ def fake_record(gnq):
         audited_iterations=(1,),
         values=np.asarray([gnq], dtype=np.float64),
         range_ok=np.ones((1, len(gnq)), dtype=bool),
-        cumulative_gnq=np.asarray(gnq, dtype=np.float64),
         tol=1e-10,
     )
 

@@ -215,6 +215,31 @@ def test_audit_report_conforms(small_run):
     assert len(rep["per_example"]) == 8
     assert rep["ranking"] == rank_examples(record).tolist()
     assert sorted(rep["ranking"]) == list(range(8))
+    assert rep["bound"] is False
+    assert rep["prior_entropy_bits"] == 1.0
+    assert set(rep["per_example"][0]) == {
+        "example", "total_bits", "fano_entropy_bits", "pe_lower", "vacuous", "cumulative_gnq"
+    }
+    assert set(rep["flags"]) == {"range_violations"}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rep: rep["per_example"][0].update(per_iteration_bits=[0.0]),
+        lambda rep: rep["per_example"][0].update(prior_entropy_bits=1.0),
+        lambda rep: rep["flags"].update(vacuous_bounds=[]),
+        lambda rep: rep.update(bound=True),
+        lambda rep: rep.pop("prior_entropy_bits"),
+    ],
+    ids=["per_iteration_bits", "per_example_prior", "vacuous_bounds", "bound_true", "no_prior"],
+)
+def test_audit_schema_refuses_second_copies_and_a_bound_claim(small_run, edit):
+    _, cfg, _, _, record, _ = small_run
+    rep = audit_report(record, cfg, {"sampling": {"n_total": cfg.n_total}})
+    edit(rep)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(rep, REPORT_SCHEMA)
 
 
 def test_audit_health_counts_crossed_rows_and_range_flags():
